@@ -82,7 +82,6 @@ from .lietransform import (
     lie_transformation_algebra,
     lr_form_bound,
     operator_from_flat,
-    transformation_algebra_by_tower,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .quandles import (
 )
 from .algebra import augmentation_ideal, jx_ideal
 from .derivations import derivation_space, dihedral_symmetry_report
-from .lietransform import inner_derivations, lie_transformation_algebra
+from .lietransform import _inner_split, inner_derivations, lie_transformation_algebra
 from . import tables as table_mod
 from .linalg import span_sum
 
@@ -147,7 +147,7 @@ def _cmd_lietransform(args) -> int:
     q = _load_quandle(args)
     f = FieldSpec.from_name(args.field)
     transf = lie_transformation_algebra(q, f)
-    inner = inner_derivations(q, f)
+    inner = _inner_split(q, f, transf)
     payload = {
         "quandle": _quandle_source(args),
         "field": f.name,

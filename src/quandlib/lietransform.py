@@ -2,24 +2,37 @@
 
 The Lie transformation algebra of an algebra A is the smallest Lie algebra
 of linear operators containing the identity together with every left and
-right multiplication; it is computed here by full pairwise commutator
-closure, which terminates because the operator space has dimension at most
-n².  A derivation lying inside it is an inner derivation.
+right multiplication.  A derivation lying inside it is an inner derivation.
 
-Operators are flattened column-major (column x first) into n²-dimensional
-coordinate space; golden outputs depend on that convention.
+Every seed operator (id, L_x, R_x) is a functional map e_y ↦ e_φ(y), and so
+is every product of seeds.  Nothing here multiplies matrices:
+
+- the closure is a tower of brackets [φ, M] of a seed with an operator,
+  each a sparse scatter and gather on integer rows (canonical residues over
+  GF(p)) that go straight into the echelon kernel; see
+  ``lie_transformation_algebra``;
+- product spans are built from words stored as image tuples, where a
+  product is composition; see ``lr_form_bound`` and
+  ``alexander_canonical_form``.
+
+Operators are flattened column-major into n²-dimensional coordinate space:
+coordinate x·n + u holds the coefficient of e_u in the image of e_x.  The
+sparse rows, the canonical bases and the golden outputs all use this one
+convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, SubspaceBasis, _Echelon, contains, span_from_vectors, span_intersect
 from .quandles import Quandle
-from .algebra import left_mult, right_mult
 from .derivations import derivation_space
+
+# The image tuple of a functional map: the map sends e_y to e_{w[y]}.
+Word = tuple[int, ...]
 
 
 def flatten_operator(m: Matrix) -> tuple[Scalar, ...]:
@@ -45,13 +58,68 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return (a @ b) - (b @ a)
 
 
+# ---------------------------------------------------------------------------
+# functional maps
+
+
+def _word_row(w: Word) -> dict[int, int]:
+    """The column-major indicator row of the functional map ``w``."""
+    n = len(w)
+    return {y * n + u: 1 for y, u in enumerate(w)}
+
+
+def _compose(a: Word, b: Word) -> Word:
+    """The product a·b: e_y ↦ e_{a(b(y))}."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _seed_words(q: Quandle) -> list[tuple[str, Word]]:
+    """id, then L_x: y ↦ x ⊳ y, then R_x: y ↦ y ⊳ x."""
+    seeds = [("id", tuple(range(q.n)))]
+    seeds += [(f"L{x}", q.table[x]) for x in range(q.n)]
+    seeds += [(f"R{x}", q.column_perm(x)) for x in range(q.n)]
+    return seeds
+
+
+def _keep_independent(ech: _Echelon, words: Iterable[Word]) -> list[Word]:
+    """The words whose indicator rows grew the span of ``ech``, in order."""
+    return [w for w in words if ech.insert(_word_row(w))]
+
+
+def _bracket(phi: Word, preimages: Sequence[Sequence[int]], row: dict[int, int],
+             p: int | None) -> dict[int, int]:
+    """The column-major row of [φ, M] = φM − Mφ from the row of M.
+
+    φM is a scatter, (φM)[φ(u), y] += M[u, y]; Mφ is a gather, column z of
+    Mφ is column φ(z) of M, so M[u, y] lands in every column z ∈ φ⁻¹(y).
+    """
+    n = len(phi)
+    out: dict[int, int] = {}
+    get = out.get
+    for k, v in row.items():
+        y, u = divmod(k, n)
+        c = y * n + phi[u]
+        out[c] = get(c, 0) + v
+        for z in preimages[y]:
+            c = z * n + u
+            out[c] = get(c, 0) - v
+    if p is None:
+        return {k: v for k, v in out.items() if v}
+    return {k: v % p for k, v in out.items() if v % p}
+
+
+# ---------------------------------------------------------------------------
+# the transformation algebra
+
+
 @dataclass(frozen=True)
 class OperatorSpace:
     """A commutator-closed operator subspace with its generation history.
 
     ``generator_log`` names, in insertion order, the elements that grew the
-    span: the seeds first, then brackets of canonical basis elements by
-    closure round (diagnostic only; the canonical basis is ``matrices``).
+    span: the seeds first ("id", "L0", "R2", ...), then the right-normed
+    brackets of seeds, stage by stage ("[L0,R1]", "[R2,[L0,R1]]", ...).  It
+    is diagnostic only; the canonical basis is ``matrices``.
     """
 
     field: FieldSpec
@@ -68,75 +136,54 @@ class OperatorSpace:
         return contains(self.subspace, flatten_operator(m))
 
 
-def _canonical_matrices(f: FieldSpec, n: int, ech: _Echelon) -> tuple[SubspaceBasis, tuple[Matrix, ...]]:
-    basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
-    mats = tuple(operator_from_flat(f, n, vec) for vec in basis.vectors)
-    return basis, mats
-
-
-def _seed_operators(q: Quandle, f: FieldSpec) -> list[tuple[str, Matrix]]:
-    seeds = [("id", Matrix.identity(f, q.n))]
-    seeds += [(f"L{x}", left_mult(x, q, f)) for x in range(q.n)]
-    seeds += [(f"R{x}", right_mult(x, q, f)) for x in range(q.n)]
-    return seeds
-
-
 def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
-    """Commutator closure of {id} ∪ {L_x} ∪ {R_x} acting on k[X].
+    """The Lie algebra generated by S = {id} ∪ {L_x} ∪ {R_x} acting on k[X].
 
-    Full pairwise brackets of the current canonical basis are adjoined each
-    round until the dimension stabilizes.  Bracketing only against the seed
-    span (the tower; see ``transformation_algebra_by_tower``) yields the
-    same space; full closure is used for robustness and the tower variant
-    is kept as a cross-check.
+    Built as a tower.  Stage 1 holds the seeds that grow the span; stage
+    k+1 holds the brackets [s, t] of each stage-1 seed s with each stage-k
+    element t that grew the span.  The loop ends when a stage adds nothing.
+
+    Why this is the whole algebra g generated by S: write V_k for the span
+    after stage k and B_k for the elements stage k kept.  Every bracket
+    stage k+1 drops already lies in the span, so V_{k+1} = V_k + [S, B_k],
+    and by induction V_{k+1} = V_k + [S, V_k] (the brackets with V_{k-1}
+    lie in V_k already).  Brackets with a dropped seed are combinations of
+    brackets with the kept ones.  When stage k+1 adds nothing, [s, V_k] ⊆
+    V_k for every seed s.  The elements a of g with [a, V_k] ⊆ V_k form a
+    Lie subalgebra (Jacobi: [[a,b],v] = [a,[b,v]] − [b,[a,v]]) that
+    contains S, hence all of g ⊇ V_k; so V_k is a Lie subalgebra containing
+    S, and V_k = g.  (Right-normed brackets of generators span the free Lie
+    algebra; Reutenauer, *Free Lie Algebras*, 1993.)
+
+    Each seed is a functional map, so a bracket costs O(nnz) sparse integer
+    updates (``_bracket``) instead of two dense matrix products.
     """
     n = q.n
+    p = f.p
     ech = _Echelon(f, n * n)
-    log: list[str] = []
-    for name, mat in _seed_operators(q, f):
-        if ech.insert_dense(flatten_operator(mat)):
-            log.append(name)
-    basis, mats = _canonical_matrices(f, n, ech)
-    round_no = 0
-    while True:
-        round_no += 1
-        grew = False
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                bracket = commutator(mats[i], mats[j])
-                if bracket.is_zero:
-                    continue
-                if ech.insert_dense(flatten_operator(bracket)):
-                    log.append(f"round{round_no}:[b{i},b{j}]")
-                    grew = True
-        if not grew:
-            break
-        basis, mats = _canonical_matrices(f, n, ech)
-    return OperatorSpace(field=f, n=n, subspace=basis, matrices=mats, generator_log=tuple(log))
-
-
-def transformation_algebra_by_tower(q: Quandle, f: FieldSpec) -> SubspaceBasis:
-    """The same algebra built as the tower T_1 + [T_1, T_1] + [T_1, [T_1, ...]].
-
-    Each stage brackets the previous stage against the seed span only.
-    Kept as an independent cross-check of the full pairwise closure.
-    """
-    n = q.n
-    seed_mats = [m for _, m in _seed_operators(q, f)]
-    ech = _Echelon(f, n * n)
-    stage = []
-    for m in seed_mats:
-        if ech.insert_dense(flatten_operator(m)):
-            stage.append(m)
+    gens: list[tuple[str, Word, list[list[int]]]] = []
+    stage: list[tuple[str, dict[int, int]]] = []
+    for name, w in _seed_words(q):
+        row = _word_row(w)
+        if ech.insert(row):
+            preimages: list[list[int]] = [[] for _ in range(n)]
+            for z, y in enumerate(w):
+                preimages[y].append(z)
+            gens.append((name, w, preimages))
+            stage.append((name, row))
+    log = [name for name, _ in stage]
     while stage:
         next_stage = []
-        for s in seed_mats:
-            for t in stage:
-                bracket = commutator(s, t)
-                if not bracket.is_zero and ech.insert_dense(flatten_operator(bracket)):
-                    next_stage.append(bracket)
+        for s_name, phi, preimages in gens:
+            for t_name, t_row in stage:
+                bracket = _bracket(phi, preimages, t_row, p)
+                if bracket and ech.insert(bracket):
+                    next_stage.append((f"[{s_name},{t_name}]", bracket))
+        log += [name for name, _ in next_stage]
         stage = next_stage
-    return SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
+    basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
+    mats = tuple(operator_from_flat(f, n, vec) for vec in basis.vectors)
+    return OperatorSpace(field=f, n=n, subspace=basis, matrices=mats, generator_log=tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +201,12 @@ class InnerDerivations:
     transformation_dim: int
 
 
-def inner_derivations(q: Quandle, f: FieldSpec) -> InnerDerivations:
+def _inner_split(q: Quandle, f: FieldSpec, transf: OperatorSpace) -> InnerDerivations:
+    """The inner/outer split of the derivations against a computed algebra."""
     der = derivation_space(q, f)
     der_flat = span_from_vectors(
         f, q.n * q.n, [flatten_operator(m) for m in der.basis]
     )
-    transf = lie_transformation_algebra(q, f)
     inner = span_intersect(der_flat, transf.subspace)
     return InnerDerivations(
         basis=inner,
@@ -168,6 +215,10 @@ def inner_derivations(q: Quandle, f: FieldSpec) -> InnerDerivations:
         derivation_dim=der.dim,
         transformation_dim=transf.dim,
     )
+
+
+def inner_derivations(q: Quandle, f: FieldSpec) -> InnerDerivations:
+    return _inner_split(q, f, lie_transformation_algebra(q, f))
 
 
 # ---------------------------------------------------------------------------
@@ -190,51 +241,48 @@ class LrSpan:
     strict: bool
 
 
-def _next_word_layer(layers: list[tuple[Matrix, ...]], gens: list[Matrix],
-                     f: FieldSpec, n: int) -> None:
-    """Append the canonical span basis of products one letter longer."""
-    ech = _Echelon(f, n * n)
-    for g in gens:
-        for w in layers[-1]:
-            ech.insert_dense(flatten_operator(g @ w))
-    basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
-    layers.append(tuple(operator_from_flat(f, n, v) for v in basis.vectors))
+def _next_word_layer(gens: list[Word], layer: list[Word], f: FieldSpec) -> list[Word]:
+    """Words one letter longer, g·w, that are independent within their layer.
+
+    Exact because g·span{w_i} = span{g·w_i}: the kept words span every
+    product of the longer length.
+    """
+    n = len(layer[0])
+    return _keep_independent(_Echelon(f, n * n), (_compose(g, w) for g in gens for w in layer))
 
 
 def lr_form_bound(q: Quandle, f: FieldSpec) -> LrSpan:
     """Span of all products (m left multiplications)·(k right multiplications).
 
-    Word lengths grow until the accumulated span is unchanged for two
-    consecutive total lengths (a hard cap of 2n²+2 guarantees termination).
-    The Lie transformation algebra is then tested for membership.
+    A_T, the span of the products with m + k ≤ T, grows with T until the
+    first T with A_T = A_{T−1}, and then never again.  Write L^m R^k for the
+    span of the products with m left and k right letters.  If A_T = A_{T−1},
+    every L^m R^k with m + k = T lies in A_{T−1}, so L·A_T ⊆ A_T (a left
+    letter turns L^m R^k with m + k ≤ T − 1 into a term of A_T) and
+    likewise A_T·R ⊆ A_T.  Every product of total length T + 1 is L·(length
+    T) or (length T)·R, so A_{T+1} = A_T.  The cap of 2n²+2 totals is a
+    guard only: the rank grows at most n² times.  The Lie transformation
+    algebra is then tested for membership.
     """
     n = q.n
-    lgens = [left_mult(x, q, f) for x in range(n)]
-    rgens = [right_mult(x, q, f) for x in range(n)]
-    cap = 2 * n * n + 2
-    lw: list[tuple[Matrix, ...]] = [(Matrix.identity(f, n),)]
-    rw: list[tuple[Matrix, ...]] = [(Matrix.identity(f, n),)]
+    lgens = [q.table[x] for x in range(n)]
+    rgens = [q.column_perm(x) for x in range(n)]
+    identity = tuple(range(n))
+    lw: list[list[Word]] = [[identity]]
+    rw: list[list[Word]] = [[identity]]
     ech = _Echelon(f, n * n)
-    stable_rounds = 0
+    cap = 2 * n * n + 2
     for total in range(cap + 1):
-        while len(lw) <= total:
-            _next_word_layer(lw, lgens, f, n)
-            _next_word_layer(rw, rgens, f, n)
-        before = ech.rank
-        for m in range(total + 1):
-            k = total - m
-            for a in lw[m]:
-                for b in rw[k]:
-                    ech.insert_dense(flatten_operator(a @ b))
-        if ech.rank == before and total > 0:
-            stable_rounds += 1
-            if stable_rounds >= 2:
-                break
-        else:
-            stable_rounds = 0
+        if total:
+            lw.append(_next_word_layer(lgens, lw[-1], f))
+            rw.append(_next_word_layer(rgens, rw[-1], f))
+        products = (_compose(a, b) for m in range(total + 1)
+                    for a in lw[m] for b in rw[total - m])
+        if not _keep_independent(ech, products):
+            break
     basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
     transf = lie_transformation_algebra(q, f)
-    contained = all(contains(basis, flatten_operator(m)) for m in transf.matrices)
+    contained = all(contains(basis, v) for v in transf.subspace.vectors)
     return LrSpan(
         basis=basis,
         lr_dim=basis.dim,
@@ -254,7 +302,7 @@ class AlexanderFormReport:
 
     The span collects L_f·L_0^a·R_0^b and R_g·L_0^a·R_0^b over all basis
     indices f, g and all distinct powers a, b (power sequences of functional
-    matrices cycle, so enumerating distinct powers is exact).
+    maps cycle, so enumerating distinct powers is exact).
     """
 
     all_contained: bool
@@ -263,35 +311,31 @@ class AlexanderFormReport:
     transformation_dim: int
 
 
-def _distinct_powers(m: Matrix) -> list[Matrix]:
-    powers = [Matrix.identity(m.field, m.nrows)]
-    seen = {powers[0].entries}
-    cur = powers[0]
-    while True:
-        cur = cur @ m
-        if cur.entries in seen:
-            return powers
-        seen.add(cur.entries)
+def _distinct_powers(w: Word) -> list[Word]:
+    powers: list[Word] = []
+    cur = tuple(range(len(w)))
+    while cur not in powers:
         powers.append(cur)
+        cur = _compose(cur, w)
+    return powers
 
 
 def alexander_canonical_form(q: Quandle, f: FieldSpec) -> AlexanderFormReport:
     if q.alexander is None:
         raise ValueError("quandle does not carry affine parameters")
     n = q.n
-    l0_powers = _distinct_powers(left_mult(0, q, f))
-    r0_powers = _distinct_powers(right_mult(0, q, f))
+    l0_powers = _distinct_powers(q.table[0])
+    r0_powers = _distinct_powers(q.column_perm(0))
+    # head·span{L_0^a·R_0^b} = span{head·w} over the independent tails w.
+    tails = _keep_independent(_Echelon(f, n * n),
+                              (_compose(la, rb) for la in l0_powers for rb in r0_powers))
+    heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
     ech = _Echelon(f, n * n)
-    heads = [left_mult(x, q, f) for x in range(n)] + [right_mult(x, q, f) for x in range(n)]
-    for head in heads:
-        for la in l0_powers:
-            head_la = head @ la
-            for rb in r0_powers:
-                ech.insert_dense(flatten_operator(head_la @ rb))
+    _keep_independent(ech, (_compose(h, w) for h in heads for w in tails))
     basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
     transf = lie_transformation_algebra(q, f)
     failures = tuple(
-        i for i, m in enumerate(transf.matrices) if not contains(basis, flatten_operator(m))
+        i for i, v in enumerate(transf.subspace.vectors) if not contains(basis, v)
     )
     return AlexanderFormReport(
         all_contained=not failures,

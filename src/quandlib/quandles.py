@@ -145,10 +145,22 @@ def validate(table: TableLike, label: str | None = None,
 
 
 def from_json_dict(data: dict, label: str | None = None) -> Quandle:
+    """Build a quandle from ``{"n": int, "table": [[int]]}`` as read from JSON.
+
+    A top level that is not an object, a table that is not a list, or a row
+    that is not a list raises ValueError, so that a malformed file never
+    surfaces as a TypeError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a quandle must be a JSON object, got {type(data).__name__}")
     table = data["table"]
+    if not isinstance(table, list):
+        raise ValueError(f"table must be a list of rows, got {type(table).__name__}")
     if data.get("n", len(table)) != len(table):
         raise ValueError("declared order does not match table size")
-    for row in table:
+    for x, row in enumerate(table):
+        if not isinstance(row, list):
+            raise ValueError(f"table row {x} must be a list, got {type(row).__name__}")
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"table entries must be integers, got {v!r}")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quandlib.cli import main
 
 # Passes axioms I and II but fails the self-distributivity axiom at (0, 1, 2).
@@ -158,3 +160,31 @@ def test_invalid_spec_reports_value_error(capsys):
     code, data = run_json(capsys, "props", "--quandle", "sphere:3")
     assert code == 1
     assert data["error"]["kind"] == "value_error"
+
+
+
+@pytest.mark.parametrize("text", ["[]", '{"table": 5}', '{"table": [[0, 1], 5]}'],
+                         ids=["top-level-list", "table-not-list", "row-not-list"])
+def test_malformed_json_shapes_report_value_error(tmp_path, capsys, text):
+    # Each shape gets the JSON error object and exit code 1, not a traceback.
+    path = tmp_path / "q.json"
+    path.write_text(text)
+    code, data = run_json(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert data["error"]["kind"] == "value_error"
+
+
+def test_lietransform_computes_the_algebra_once(capsys, monkeypatch):
+    import quandlib.cli as cli
+    import quandlib.lietransform as lt
+    calls = []
+    original = lt.lie_transformation_algebra
+
+    def counted(q, f):
+        calls.append(q.n)
+        return original(q, f)
+
+    monkeypatch.setattr(cli, "lie_transformation_algebra", counted)
+    monkeypatch.setattr(lt, "lie_transformation_algebra", counted)
+    code, _ = run_json(capsys, "lietransform", "--quandle", "dihedral:4", "--field", "Q")
+    assert code == 0 and calls == [4]
