@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, SubspaceBasis, _Echelon, nullspace
+from .linalg import Matrix, SubspaceBasis, _Echelon, contains, nullspace
 from .quandles import Quandle, props as quandle_props
 
 
@@ -196,11 +196,10 @@ def jx_ideal(q: Quandle, f: FieldSpec) -> SubspaceBasis:
                 if any(prod) and ech.insert_dense(prod):
                     new_frontier.append(prod)
         frontier = new_frontier
-    basis = SubspaceBasis(f, n, tuple(row for _, row in ech.finalize()))
+    basis = ech.basis()
     if quandle_props(q).medial:
         for vec in basis.vectors:
             for z in range(n):
-                prod = _left_multiply_vector(vec, z, q, f)
-                if any(prod) and not ech.contains(ech._sparsify(prod)):
+                if not contains(basis, _left_multiply_vector(vec, z, q, f)):
                     raise RuntimeError("medial quandle ideal failed left closure")
     return basis

@@ -66,7 +66,11 @@ def _fail(kind: str, message: str, **extra) -> int:
 def _load_quandle(args) -> Quandle:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("JSON nesting is too deep") from None
+        return from_json_dict(data)
     return parse_quandle_spec(args.quandle)
 
 
@@ -286,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("axiom_violation", str(exc), axiom=exc.axiom, witness=list(exc.witness))
     except NotAGroupError as exc:
         return _fail("not_a_group", str(exc), witness=list(exc.witness))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail("file_error", str(exc))
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         return _fail("value_error", str(exc))

@@ -116,11 +116,6 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
         if key in seen:
             continue
         seen.add(key)
-        if f.p is not None:
-            row = {k: v % f.p for k, v in row.items()}
-            row = {k: v for k, v in row.items() if v}
-            if not row:
-                continue
         ech.insert(row)
     kernel = _nullspace_from_echelon(f, n * n, ech)
     mats = tuple(matrix_from_flat(f, n, vec) for vec in kernel.vectors)

@@ -8,8 +8,8 @@ Every seed operator (id, L_x, R_x) is a functional map e_y ↦ e_φ(y), and so
 is every product of seeds.  Nothing here multiplies matrices:
 
 - the closure is a tower of brackets [φ, M] of a seed with an operator,
-  each a sparse scatter and gather on integer rows (canonical residues over
-  GF(p)) that go straight into the echelon kernel; see
+  each a sparse scatter and gather on integer rows that go straight into
+  the echelon kernel, which reduces them mod p over GF(p); see
   ``lie_transformation_algebra``;
 - product spans are built from words stored as image tuples, where a
   product is composition; see ``lr_form_bound`` and
@@ -86,8 +86,7 @@ def _keep_independent(ech: _Echelon, words: Iterable[Word]) -> list[Word]:
     return [w for w in words if ech.insert(_word_row(w))]
 
 
-def _bracket(phi: Word, preimages: Sequence[Sequence[int]], row: dict[int, int],
-             p: int | None) -> dict[int, int]:
+def _bracket(phi: Word, preimages: Sequence[Sequence[int]], row: dict[int, int]) -> dict[int, int]:
     """The column-major row of [φ, M] = φM − Mφ from the row of M.
 
     φM is a scatter, (φM)[φ(u), y] += M[u, y]; Mφ is a gather, column z of
@@ -103,9 +102,7 @@ def _bracket(phi: Word, preimages: Sequence[Sequence[int]], row: dict[int, int],
         for z in preimages[y]:
             c = z * n + u
             out[c] = get(c, 0) - v
-    if p is None:
-        return {k: v for k, v in out.items() if v}
-    return {k: v % p for k, v in out.items() if v % p}
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,6 @@ def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
     updates (``_bracket``) instead of two dense matrix products.
     """
     n = q.n
-    p = f.p
     ech = _Echelon(f, n * n)
     gens: list[tuple[str, Word, list[list[int]]]] = []
     stage: list[tuple[str, dict[int, int]]] = []
@@ -176,12 +172,12 @@ def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
         next_stage = []
         for s_name, phi, preimages in gens:
             for t_name, t_row in stage:
-                bracket = _bracket(phi, preimages, t_row, p)
+                bracket = _bracket(phi, preimages, t_row)
                 if bracket and ech.insert(bracket):
                     next_stage.append((f"[{s_name},{t_name}]", bracket))
         log += [name for name, _ in next_stage]
         stage = next_stage
-    basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
+    basis = ech.basis()
     mats = tuple(operator_from_flat(f, n, vec) for vec in basis.vectors)
     return OperatorSpace(field=f, n=n, subspace=basis, matrices=mats, generator_log=tuple(log))
 
@@ -280,7 +276,7 @@ def lr_form_bound(q: Quandle, f: FieldSpec) -> LrSpan:
                     for a in lw[m] for b in rw[total - m])
         if not _keep_independent(ech, products):
             break
-    basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
+    basis = ech.basis()
     transf = lie_transformation_algebra(q, f)
     contained = all(contains(basis, v) for v in transf.subspace.vectors)
     return LrSpan(
@@ -332,7 +328,7 @@ def alexander_canonical_form(q: Quandle, f: FieldSpec) -> AlexanderFormReport:
     heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
     ech = _Echelon(f, n * n)
     _keep_independent(ech, (_compose(h, w) for h in heads for w in tails))
-    basis = SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
+    basis = ech.basis()
     transf = lie_transformation_algebra(q, f)
     failures = tuple(
         i for i, v in enumerate(transf.subspace.vectors) if not contains(basis, v)

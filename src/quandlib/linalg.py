@@ -1,12 +1,14 @@
 """Deterministic dense linear algebra over Q and GF(p).
 
 Everything reduces to one kernel: an incremental echelonizer over sparse
-rows.  Over the rationals the working rows are integer vectors kept small by
-gcd division, and only the final reduced-echelon rows are scaled to leading
-coefficient 1 (producing ``Fraction`` entries).  Over GF(p) the rows are
-canonical residues throughout.  Reduced row-echelon form is unique, so every
-subspace has exactly one ``SubspaceBasis`` representation and equality of
-subspaces is equality of values.
+rows.  Callers hand it integer rows over either field; the kernel alone
+decides how rows are reduced and combined.  Over the rationals the working
+rows are integer vectors kept small by gcd division, and only the final
+reduced-echelon rows are scaled to leading coefficient 1 (producing
+``Fraction`` entries).  Over GF(p) the kernel reduces each incoming row mod
+p and keeps canonical residues throughout.  Reduced row-echelon form is
+unique, so every subspace has exactly one ``SubspaceBasis`` representation
+and equality of subspaces is equality of values.
 """
 
 from __future__ import annotations
@@ -164,12 +166,43 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _clear_q(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """Clear column ``c`` of an integer row: a·row − b·piv, gcd-normalized."""
+    a, b = piv[c], row[c]
+    new = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        w = new.get(k, 0) - b * v
+        if w:
+            new[k] = w
+        elif k in new:
+            del new[k]
+    return _gcd_normalize(new)
+
+
+def _clear_p(row: dict[int, int], piv: dict[int, int], c: int, p: int) -> dict[int, int]:
+    """Clear column ``c`` of a residue row with a monic pivot row: row − b·piv mod p."""
+    b = row[c]
+    new = dict(row)
+    for k, v in piv.items():
+        w = (new.get(k, 0) - b * v) % p
+        if w:
+            new[k] = w
+        elif k in new:
+            del new[k]
+    return new
+
+
 class _Echelon:
     """Incremental row-space echelonizer on sparse rows.
 
-    Over Q the stored rows are gcd-reduced integer rows with positive leading
-    coefficient; over GF(p) they are residue rows with leading coefficient 1.
-    ``finalize`` back-substitutes to the unique RREF and scales pivots to 1.
+    ``insert`` takes a sparse integer row {column: value} with no zero
+    entries; over GF(p) the kernel reduces it mod p itself, so a row that
+    vanishes mod p is simply dependent.  Over Q the stored rows are
+    gcd-reduced integer rows with positive leading coefficient; over GF(p)
+    they are residue rows with leading coefficient 1.  One helper per field
+    (``_clear_q``, ``_clear_p``) does every elimination step, in ``insert``
+    and in ``finalize``, which back-substitutes to the unique RREF and
+    scales pivots to 1.
     """
 
     def __init__(self, field: FieldSpec, ambient: int):
@@ -183,27 +216,22 @@ class _Echelon:
         return len(self.rows)
 
     def insert_dense(self, vec: Sequence[Scalar | int]) -> bool:
+        """Insert a dense vector of field scalars, clearing denominators over Q."""
         if len(vec) != self.ambient:
             raise ValueError("vector length mismatch")
-        return self.insert(self._sparsify(vec))
-
-    def _sparsify(self, vec: Sequence[Scalar | int]) -> dict[int, int]:
-        if self.p is None:
-            den = 1
-            for v in vec:
-                if isinstance(v, Fraction):
-                    den = den * v.denominator // gcd(den, v.denominator)
-            row = {}
-            for c, v in enumerate(vec):
-                if v:
-                    iv = int(v * den) if isinstance(v, Fraction) else v * den
-                    row[c] = iv
-            return row
-        return {c: v % self.p for c, v in enumerate(vec) if v % self.p}
+        if self.p is not None:
+            return self.insert({c: v for c, v in enumerate(vec) if v})
+        den = 1
+        for v in vec:
+            if isinstance(v, Fraction):
+                den = den * v.denominator // gcd(den, v.denominator)
+        return self.insert({c: int(v * den) for c, v in enumerate(vec) if v})
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the basis; store it if independent."""
         p = self.p
+        if p is not None:
+            row = {k: r for k, v in row.items() if (r := v % p)}
         while row:
             c = min(row)
             piv = self.rows.get(c)
@@ -215,34 +243,8 @@ class _Echelon:
                     row = {k: v * lead_inv % p for k, v in row.items()}
                 self.rows[c] = row
                 return True
-            if p is None:
-                a, b = piv[c], row[c]
-                new = {k: a * v for k, v in row.items()}
-                for k, v in piv.items():
-                    w = new.get(k, 0) - b * v
-                    if w:
-                        new[k] = w
-                    elif k in new:
-                        del new[k]
-                row = _gcd_normalize(new)
-            else:
-                b = row[c]
-                new = dict(row)
-                for k, v in piv.items():
-                    w = (new.get(k, 0) - b * v) % p
-                    if w:
-                        new[k] = w
-                    elif k in new:
-                        del new[k]
-                row = new
+            row = _clear_q(row, piv, c) if p is None else _clear_p(row, piv, c, p)
         return False
-
-    def contains(self, row: dict[int, int]) -> bool:
-        saved = dict(self.rows)
-        grew = self.insert(dict(row))
-        if grew:
-            self.rows = saved
-        return not grew
 
     def finalize(self) -> list[tuple[int, Vector]]:
         """Return ``(pivot_col, dense_row)`` pairs of the canonical RREF."""
@@ -255,28 +257,8 @@ class _Echelon:
                 if c2 >= c:
                     break
                 r = self.rows[c2]
-                if c not in r:
-                    continue
-                if p is None:
-                    a, b = low[c], r[c]
-                    new = {k: a * v for k, v in r.items()}
-                    for k, v in low.items():
-                        w = new.get(k, 0) - b * v
-                        if w:
-                            new[k] = w
-                        elif k in new:
-                            del new[k]
-                    self.rows[c2] = _gcd_normalize(new)
-                else:
-                    b = r[c]
-                    new = dict(r)
-                    for k, v in low.items():
-                        w = (new.get(k, 0) - b * v) % p
-                        if w:
-                            new[k] = w
-                        elif k in new:
-                            del new[k]
-                    self.rows[c2] = new
+                if c in r:
+                    self.rows[c2] = _clear_q(r, low, c) if p is None else _clear_p(r, low, c, p)
         out = []
         for c in pivot_cols:
             row = self.rows[c]
@@ -290,6 +272,10 @@ class _Echelon:
                     dense[k] = v
             out.append((c, tuple(dense)))
         return out
+
+    def basis(self) -> "SubspaceBasis":
+        """The canonical basis of the span of every row inserted so far."""
+        return SubspaceBasis(self.field, self.ambient, tuple(row for _, row in self.finalize()))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +333,7 @@ def span_from_vectors(
     ech = _Echelon(field, ambient_dim)
     for v in vectors:
         ech.insert_dense(v)
-    return SubspaceBasis(field, ambient_dim, tuple(row for _, row in ech.finalize()))
+    return ech.basis()
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +383,7 @@ def _nullspace_from_echelon(field: FieldSpec, ncols: int, ech: _Echelon) -> Subs
 def span_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Canonical basis of A + B."""
     _check_compatible(a, b)
-    ech = _Echelon(a.field, a.ambient_dim)
-    for v in a.vectors:
-        ech.insert_dense(v)
-    for v in b.vectors:
-        ech.insert_dense(v)
-    return SubspaceBasis(a.field, a.ambient_dim, tuple(row for _, row in ech.finalize()))
+    return span_from_vectors(a.field, a.ambient_dim, a.vectors + b.vectors)
 
 
 def span_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

@@ -174,6 +174,20 @@ def test_malformed_json_shapes_report_value_error(tmp_path, capsys, text):
     assert data["error"]["kind"] == "value_error"
 
 
+def test_directory_as_file_reports_file_error(tmp_path, capsys):
+    code, data = run_json(capsys, "validate", "--file", str(tmp_path))
+    assert code == 1
+    assert data["error"]["kind"] == "file_error"
+
+
+def test_deeply_nested_json_reports_value_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, data = run_json(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert data["error"]["kind"] == "value_error"
+
+
 def test_lietransform_computes_the_algebra_once(capsys, monkeypatch):
     import quandlib.cli as cli
     import quandlib.lietransform as lt

@@ -8,6 +8,7 @@ from quandlib.fields import GF, RATIONALS
 from quandlib.linalg import (
     Matrix,
     SubspaceBasis,
+    _Echelon,
     contains,
     coordinates,
     nullspace,
@@ -65,6 +66,82 @@ def test_rref_shape_and_field_preserved():
     r, pivots = rref(m)
     assert (r.nrows, r.ncols) == (3, 3)
     assert pivots == [0, 2]
+
+
+def _oracle_rref(rows, ncols, p):
+    """Plain dense Gauss-Jordan: Fractions over Q, residues over GF(p)."""
+    if p is None:
+        m = [[Fraction(v) for v in row] for row in rows]
+    else:
+        m = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        if p is None:
+            s = 1 / m[r][c]
+            m[r] = [v * s for v in m[r]]
+        else:
+            s = pow(m[r][c], -1, p)
+            m[r] = [v * s % p for v in m[r]]
+        for i in range(len(m)):
+            t = m[i][c]
+            if i != r and t:
+                if p is None:
+                    m[i] = [a - t * b for a, b in zip(m[i], m[r])]
+                else:
+                    m[i] = [(a - t * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _random_integer_matrices(p):
+    """Seeded integer matrices with zero rows, multiples of p and large entries."""
+    rng = random.Random(2024 if p is None else p)
+    q = p or 5
+    values = [0, 0, 0, 1, -1, 2, -3, 5, q, -q, 2 * q, q + 1, 3 * q - 1, 2 ** 40 + 3]
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        yield rows, ncols
+
+
+FIELDS = pytest.mark.parametrize("p", [None, 2, 3, 2147483647], ids=["Q", "GF2", "GF3", "GF2^31-1"])
+
+
+@FIELDS
+def test_rref_matches_dense_gauss_jordan_oracle(p):
+    field = Q if p is None else GF(p)
+    for rows, ncols in _random_integer_matrices(p):
+        want, want_pivots = _oracle_rref(rows, ncols, p)
+        got, got_pivots = rref(Matrix.from_rows(field, rows))
+        assert got.to_lists() == want and got_pivots == want_pivots
+
+
+@FIELDS
+def test_echelon_takes_raw_integer_rows(p):
+    # insert reduces unreduced integer rows itself; the RREF matches the oracle.
+    field = Q if p is None else GF(p)
+    for rows, ncols in _random_integer_matrices(p):
+        want, want_pivots = _oracle_rref(rows, ncols, p)
+        ech = _Echelon(field, ncols)
+        for row in rows:
+            ech.insert({c: v for c, v in enumerate(row) if v})
+        finalized = ech.finalize()
+        assert [c for c, _ in finalized] == want_pivots
+        assert [list(row) for _, row in finalized] == want[: len(want_pivots)]
+
+
+def test_insert_reduces_integer_rows_mod_p():
+    ech = _Echelon(GF(3), 2)
+    assert ech.insert({0: 3, 1: 4})
+    assert ech.rows == {1: {1: 1}}
+    assert not ech.insert({0: 6})
 
 
 # ---------------------------------------------------------------------------
