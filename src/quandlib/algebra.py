@@ -148,21 +148,13 @@ def right_mult(x: int, q: Quandle, f: FieldSpec) -> Matrix:
 # the commutator-difference right ideal
 
 
-def _right_multiply_vector(vec: Sequence[Scalar], z: int, q: Quandle, f: FieldSpec) -> list[Scalar]:
-    out: list[Scalar] = [f.zero()] * q.n
+def _scatter(vec: Sequence[Scalar], image: Sequence[int], f: FieldSpec) -> list[Scalar]:
+    """The vector sum of v_x e_{image[x]}: right multiplication by e_z when
+    ``image`` is ``q.column_perm(z)``, left multiplication by it when ``q.table[z]``."""
+    out: list[Scalar] = [f.zero()] * len(image)
     for x, v in enumerate(vec):
         if v:
-            u = q.table[x][z]
-            out[u] = f.add(out[u], v)
-    return out
-
-
-def _left_multiply_vector(vec: Sequence[Scalar], z: int, q: Quandle, f: FieldSpec) -> list[Scalar]:
-    out: list[Scalar] = [f.zero()] * q.n
-    row = q.table[z]
-    for x, v in enumerate(vec):
-        if v:
-            u = row[x]
+            u = image[x]
             out[u] = f.add(out[u], v)
     return out
 
@@ -192,7 +184,7 @@ def jx_ideal(q: Quandle, f: FieldSpec) -> SubspaceBasis:
         new_frontier = []
         for vec in frontier:
             for z in range(n):
-                prod = _right_multiply_vector(vec, z, q, f)
+                prod = _scatter(vec, q.column_perm(z), f)
                 if any(prod) and ech.insert_dense(prod):
                     new_frontier.append(prod)
         frontier = new_frontier
@@ -200,6 +192,6 @@ def jx_ideal(q: Quandle, f: FieldSpec) -> SubspaceBasis:
     if quandle_props(q).medial:
         for vec in basis.vectors:
             for z in range(n):
-                if not contains(basis, _left_multiply_vector(vec, z, q, f)):
+                if not contains(basis, _scatter(vec, q.table[z], f)):
                     raise RuntimeError("medial quandle ideal failed left closure")
     return basis

@@ -12,7 +12,8 @@ checked against it, never used to shortcut it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Callable, Iterator, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, SubspaceBasis, _Echelon, _nullspace_from_echelon
@@ -180,8 +181,87 @@ class SymmetryReport:
         return all(c.holds for c in self.checks.values() if c.applicable)
 
 
-def _na(description: str) -> RelationCheck:
-    return RelationCheck(False, None, None, description)
+# The four classes of dihedral order that the relations distinguish.
+_ODD, _TWICE_ODD, _EVEN_QUARTER, _ODD_QUARTER = "odd", "2 mod 4", "0 mod 8", "4 mod 8"
+
+
+def _order_class(n: int) -> tuple[str, int]:
+    """The class of the order n and its k: n = 4k for orders 0 mod 4 (split
+    by the parity of the quarter k), n = 2k for orders 2 mod 4, k = 0 if odd."""
+    if n % 2:
+        return _ODD, 0
+    if n % 4:
+        return _TWICE_ODD, n // 2
+    k = n // 4
+    return (_ODD_QUARTER if k % 2 else _EVEN_QUARTER), k
+
+
+@dataclass(frozen=True)
+class _Relation:
+    """The coefficient relation c at ``lhs`` = sign · c at ``rhs``.
+
+    ``sides(k, *idx)`` gives the (t, x) positions ``(lhs, rhs)`` for one
+    index tuple of length ``arity``, each index running over 0..n-1.  Sign 0
+    means the left side vanishes (``rhs`` is None).  ``text(k)`` describes the
+    relation where it applies; ``not_applicable`` holds the text for every
+    class of n where it does not.
+    """
+
+    name: str
+    arity: int
+    sides: Callable[..., tuple[tuple[int, int], tuple[int, int] | None]]
+    sign: int
+    text: Callable[[int], str]
+    not_applicable: dict[str, str]
+
+
+_EVEN_ONLY = "even order only"
+_MOD4_ONLY = "order 0 mod 4 only"
+_RELATIONS = (
+    _Relation("reflection", 3, lambda k, t, d, x: ((t + 2 * d, x), (t, 2 * t + 2 * d - x)), 1,
+              lambda k: "c_{t+2d}^x = c_t^{2t+2d-x}",
+              {_ODD: "c_{t+2d}^x = c_t^{2t+2d-x} (even order only)"}),
+    _Relation("half_shift_sign", 2, lambda k, t, x: ((t, x), (t, x + 2 * k)), -1,
+              lambda k: f"c_t^x = -c_t^(x+{2 * k})",
+              {_ODD: _EVEN_ONLY, _TWICE_ODD: "c_t^x = -c_t^(x+2k) (order 0 mod 4 only)"}),
+    _Relation("half_shift_period", 2, lambda k, t, x: ((t, x), (t + 2 * k, x + 2 * k)), 1,
+              lambda k: f"c_t^x = c_(t+{2 * k})^(x+{2 * k})",
+              {_ODD: _EVEN_ONLY, _TWICE_ODD: "c_t^x = c_(t+2k)^(x+2k) (order 0 mod 4 only)"}),
+    _Relation("quarter_shift_period", 2, lambda k, t, x: ((t, x), (t + k, x + k)), 1,
+              lambda k: f"c_t^x = c_(t+{k})^(x+{k})",
+              {_ODD: _EVEN_ONLY, _TWICE_ODD: _MOD4_ONLY,
+               _ODD_QUARTER: "c_t^x = c_(t+k)^(x+k) (even quarter only)"}),
+    _Relation("near_quarter_shift_period", 2, lambda k, t, x: ((t, x), (t + k - 1, x + k - 1)), 1,
+              lambda k: f"c_t^x = c_(t+{k - 1})^(x+{k - 1})",
+              {_ODD: _EVEN_ONLY, _TWICE_ODD: _MOD4_ONLY,
+               _EVEN_QUARTER: "c_t^x = c_(t+k-1)^(x+k-1) (odd quarter only)"}),
+    _Relation("half_shift_sign_twice_odd", 2, lambda k, t, x: ((t, x), (t, x + k)), -1,
+              lambda k: f"c_t^x = -c_t^(x+{k})",
+              {_ODD: _EVEN_ONLY,
+               _EVEN_QUARTER: "c_t^x = -c_t^(x+k) (order 2 mod 4 only)",
+               _ODD_QUARTER: "c_t^x = -c_t^(x+k) (order 2 mod 4 only)"}),
+    _Relation("diagonal_shift_zero", 1, lambda k, t: ((t, t + k), None), 0,
+              lambda k: f"c_t^(t+{k}) = 0",
+              {_ODD: _EVEN_ONLY}),
+)
+_RELATION = {rel.name: rel for rel in _RELATIONS}
+
+
+def _counterexample(rel: _Relation, D: Matrix, k: int) -> tuple[int, ...] | None:
+    """The first index tuple, in lexicographic order, where ``rel`` fails on D."""
+    n, f, ents = D.nrows, D.field, D.entries
+    zero = f.zero()
+    for idx in product(range(n), repeat=rel.arity):
+        (t, x), rhs = rel.sides(k, *idx)
+        want = zero
+        if rel.sign:
+            t2, x2 = rhs
+            want = ents[x2 % n * n + t2 % n]
+            if rel.sign < 0:
+                want = f.neg(want)
+        if ents[x % n * n + t % n] != want:
+            return idx
+    return None
 
 
 def dihedral_symmetry_report(D: Matrix, n: int) -> SymmetryReport:
@@ -193,97 +273,14 @@ def dihedral_symmetry_report(D: Matrix, n: int) -> SymmetryReport:
     """
     if D.nrows != n or D.ncols != n:
         raise ValueError("matrix order mismatch")
-
-    def c(t: int, x: int) -> Scalar:
-        return D.entry(x % n, t % n)
-
-    f = D.field
+    order_class, k = _order_class(n)
     checks: dict[str, RelationCheck] = {}
-
-    def scan(name: str, description: str, predicate) -> None:
-        counter = None
-        for args in predicate():
-            counter = args
-            break
-        checks[name] = RelationCheck(True, counter is None, counter, description)
-
-    even = n % 2 == 0
-    quad = n % 4 == 0
-
-    if even:
-        def reflection():
-            for t in range(n):
-                for d in range(n):
-                    for x in range(n):
-                        if c(t + 2 * d, x) != c(t, 2 * t + 2 * d - x):
-                            yield (t, d, x)
-        scan("reflection", "c_{t+2d}^x = c_t^{2t+2d-x}", reflection)
-    else:
-        checks["reflection"] = _na("c_{t+2d}^x = c_t^{2t+2d-x} (even order only)")
-
-    if quad:
-        k = n // 4
-
-        def half_sign():
-            for t in range(n):
-                for x in range(n):
-                    if c(t, x) != f.neg(c(t, x + 2 * k)):
-                        yield (t, x)
-        scan("half_shift_sign", f"c_t^x = -c_t^(x+{2 * k})", half_sign)
-
-        def half_period():
-            for t in range(n):
-                for x in range(n):
-                    if c(t, x) != c(t + 2 * k, x + 2 * k):
-                        yield (t, x)
-        scan("half_shift_period", f"c_t^x = c_(t+{2 * k})^(x+{2 * k})", half_period)
-
-        if k % 2 == 0:
-            def quarter_period():
-                for t in range(n):
-                    for x in range(n):
-                        if c(t, x) != c(t + k, x + k):
-                            yield (t, x)
-            scan("quarter_shift_period", f"c_t^x = c_(t+{k})^(x+{k})", quarter_period)
-            checks["near_quarter_shift_period"] = _na("c_t^x = c_(t+k-1)^(x+k-1) (odd quarter only)")
+    for rel in _RELATIONS:
+        if order_class in rel.not_applicable:
+            checks[rel.name] = RelationCheck(False, None, None, rel.not_applicable[order_class])
         else:
-            def near_quarter():
-                for t in range(n):
-                    for x in range(n):
-                        if c(t, x) != c(t + k - 1, x + k - 1):
-                            yield (t, x)
-            scan("near_quarter_shift_period", f"c_t^x = c_(t+{k - 1})^(x+{k - 1})", near_quarter)
-            checks["quarter_shift_period"] = _na("c_t^x = c_(t+k)^(x+k) (even quarter only)")
-        checks["half_shift_sign_twice_odd"] = _na("c_t^x = -c_t^(x+k) (order 2 mod 4 only)")
-    elif even:
-        k = n // 2
-
-        def case3_sign():
-            for t in range(n):
-                for x in range(n):
-                    if c(t, x) != f.neg(c(t, x + k)):
-                        yield (t, x)
-        scan("half_shift_sign_twice_odd", f"c_t^x = -c_t^(x+{k})", case3_sign)
-        checks["half_shift_sign"] = _na("c_t^x = -c_t^(x+2k) (order 0 mod 4 only)")
-        checks["half_shift_period"] = _na("c_t^x = c_(t+2k)^(x+2k) (order 0 mod 4 only)")
-        checks["quarter_shift_period"] = _na("order 0 mod 4 only")
-        checks["near_quarter_shift_period"] = _na("order 0 mod 4 only")
-    else:
-        for name in ("half_shift_sign", "half_shift_period", "half_shift_sign_twice_odd",
-                     "quarter_shift_period", "near_quarter_shift_period"):
-            checks[name] = _na("even order only")
-
-    if even:
-        k = n // 4 if quad else n // 2
-
-        def diag_zero():
-            for t in range(n):
-                if c(t, t + k):
-                    yield (t,)
-        scan("diagonal_shift_zero", f"c_t^(t+{k}) = 0", diag_zero)
-    else:
-        checks["diagonal_shift_zero"] = _na("even order only")
-
+            witness = _counterexample(rel, D, k)
+            checks[rel.name] = RelationCheck(True, witness is None, witness, rel.text(k))
     return SymmetryReport(n=n, checks=checks)
 
 
@@ -319,35 +316,32 @@ def _submatrix(D: Matrix, r0: int, c0: int, size_r: int, size_c: int) -> Matrix:
 
 
 def block_decomposition(D: Matrix, n: int) -> BlockReport:
-    if n % 2 != 0:
+    """The block shape of D, read off the dihedral relations.
+
+    (P, -P; -P, P) holds iff both half shifts hold, P = (U, V; -V, U) iff the
+    quarter shift holds as well, and the half-rows form of orders 2 mod 4 is
+    the relation ``half_shift_sign_twice_odd``.
+    """
+    order_class, k = _order_class(n)
+    if order_class == _ODD:
         raise ValueError("block decomposition needs even order")
     if D.nrows != n or D.ncols != n:
         raise ValueError("matrix order mismatch")
-    f = D.field
+
+    def holds(name: str) -> bool:
+        return _counterexample(_RELATION[name], D, k) is None
+
     h = n // 2
-    if n % 4 == 0:
-        p = _submatrix(D, 0, 0, h, h)
-        fits = (
-            _submatrix(D, 0, h, h, h) == -p
-            and _submatrix(D, h, 0, h, h) == -p
-            and _submatrix(D, h, h, h, h) == p
-        )
-        k = n // 4
-        fits_uv = None
-        u = v = None
-        if k % 2 == 0:
-            u = _submatrix(D, 0, 0, k, k)
-            v = _submatrix(D, 0, k, k, k)
-            fits_uv = fits and (
-                _submatrix(D, k, 0, k, k) == -v and _submatrix(D, k, k, k, k) == u
-            )
-        return BlockReport(n=n, form="quadrant", fits=fits, p_block=p,
-                           fits_uv=fits_uv, u_block=u, v_block=v)
-    fits = all(
-        D.entry(x + h, t) == f.neg(D.entry(x, t)) for x in range(h) for t in range(n)
-    )
-    return BlockReport(n=n, form="half_rows", fits=fits,
-                       top_half=_submatrix(D, 0, 0, h, n))
+    if order_class == _TWICE_ODD:
+        return BlockReport(n=n, form="half_rows", fits=holds("half_shift_sign_twice_odd"),
+                           top_half=_submatrix(D, 0, 0, h, n))
+    fits = holds("half_shift_sign") and holds("half_shift_period")
+    p = _submatrix(D, 0, 0, h, h)
+    if order_class == _ODD_QUARTER:
+        return BlockReport(n=n, form="quadrant", fits=fits, p_block=p)
+    return BlockReport(n=n, form="quadrant", fits=fits, p_block=p,
+                       fits_uv=fits and holds("quarter_shift_period"),
+                       u_block=_submatrix(D, 0, 0, k, k), v_block=_submatrix(D, 0, k, k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +367,13 @@ class DimPrediction:
 def predicted_dim_dihedral(n: int) -> DimPrediction:
     if n < 1:
         raise ValueError("order must be positive")
-    if n % 2 == 1:
+    order_class, k = _order_class(n)
+    if order_class == _ODD:
         return DimPrediction(n, 0, "odd_order_trivial", False)
-    if n % 4 == 0:
-        k = n // 4
-        dim = 2 * k if k % 2 == 0 else 2 * k - 1
-        return DimPrediction(n, dim, "multiple_of_four_formula", True)
-    return DimPrediction(n, None, "no_closed_form", True)
+    if order_class == _TWICE_ODD:
+        return DimPrediction(n, None, "no_closed_form", True)
+    dim = 2 * k if order_class == _EVEN_QUARTER else 2 * k - 1
+    return DimPrediction(n, dim, "multiple_of_four_formula", True)
 
 
 # ---------------------------------------------------------------------------

@@ -216,16 +216,19 @@ class _Echelon:
         return len(self.rows)
 
     def insert_dense(self, vec: Sequence[Scalar | int]) -> bool:
-        """Insert a dense vector of field scalars, clearing denominators over Q."""
+        """Insert a dense vector, each nonzero entry coerced into the field
+        (floats raise ``TypeError``; text such as ``"0"`` may coerce to zero),
+        clearing denominators over Q."""
         if len(vec) != self.ambient:
             raise ValueError("vector length mismatch")
+        coerce = self.field.coerce
+        row = {c: x for c, v in enumerate(vec) if v and (x := coerce(v))}
         if self.p is not None:
-            return self.insert({c: v for c, v in enumerate(vec) if v})
+            return self.insert(row)
         den = 1
-        for v in vec:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        return self.insert({c: int(v * den) for c, v in enumerate(vec) if v})
+        for v in row.values():
+            den = den * v.denominator // gcd(den, v.denominator)
+        return self.insert({c: int(v * den) for c, v in row.items()})
 
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the basis; store it if independent."""

@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from quandlib.fields import GF, RATIONALS
+from quandlib.cli import main
+from quandlib.fields import GF, RATIONALS, FieldSpec
 from quandlib.linalg import Matrix, contains, span_from_vectors
 from quandlib.algebra import AlgebraElement, basis_element, multiply
 from quandlib.derivations import (
@@ -20,6 +22,7 @@ from quandlib.derivations import (
     verify_structure_relations,
 )
 from quandlib.quandles import S3_TABLE, catalog, conjugation, cyclic_group_table, dihedral, trivial
+from quandlib.tables import _blocks_to_matrix
 
 Q = RATIONALS
 
@@ -294,6 +297,99 @@ def test_symmetry_report_not_applicable_for_odd_order():
     assert all(not c.applicable for c in rep.checks.values())
 
 
+# sha256 (first 16 hex digits) of `quandlib symmetries --quandle dihedral:n
+# --field F` stdout, n = 1..16.  Pins every description, not-applicable text,
+# holds value and witness the report prints.
+SYMMETRIES_CLI_DIGESTS = {
+    "Q": (
+        "62e3c1d783a49e1f", "0fba3e63934b5f3b", "525100fde3f26d93", "f9e82aa51e17922f",
+        "102611c006e4c542", "445d7d4874679103", "4167de0625228bbe", "76fb6c68996ed82a",
+        "3a4d4836c193b30b", "b15ec89f58edeab5", "0ffc155905a14fb4", "b5cdb088e539db10",
+        "eefce050d6c5b59e", "00d183995be54a97", "8be9efa45a48d854", "f5503499be583218",
+    ),
+    "GF(2)": (
+        "d0bcc19c72f12778", "e1de25a8ae19d5ce", "4220ad29a9b38186", "edfdb16056dc039b",
+        "14cdd482b46deedb", "326074d756380a32", "26871c1870a9a1d5", "0ea0d25deae0827c",
+        "fcdd0b22ddc990ca", "43b906a3df931502", "dd5d4fda5bdbfa14", "89561fb22946ccf1",
+        "5e747ab0df8d7310", "9a6a555f9f2e2752", "c4221c8f0f23d82f", "7b7f0510827aec6a",
+    ),
+    "GF(3)": (
+        "1daf8be13485addb", "90798327f0ea9da6", "e3e59ce5c13bc112", "ce9ce80891ec3b59",
+        "e46782b76de140bb", "2f5040e058e8ae03", "9e58e2c15d59edbd", "21bf8c4116a27a8e",
+        "bac59a3cf2f484b4", "d6947d41e3499949", "c73b1975c1a15fd1", "b333c85c5ec43e5a",
+        "1f79d50951ec995d", "65fb24b5d5417b98", "688fc88d859a27f7", "53191d10fe8ad398",
+    ),
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("field_name", sorted(SYMMETRIES_CLI_DIGESTS))
+@pytest.mark.parametrize("n", range(1, 17))
+def test_symmetries_cli_output_is_pinned(capsys, n, field_name):
+    code = main(["symmetries", "--quandle", f"dihedral:{n}", "--field", field_name])
+    assert code == 0
+    assert _digest(capsys.readouterr().out) == SYMMETRIES_CLI_DIGESTS[field_name][n - 1]
+
+
+def _random_matrix(f, rows, cols, rng):
+    return Matrix.from_rows(
+        f, [[f.from_int(rng.randrange(-2, 3)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _perturbed(m, rng):
+    """m with one seeded entry increased by one."""
+    f, n = m.field, m.nrows
+    ents = list(m.entries)
+    i = rng.randrange(n * n)
+    ents[i] = f.add(ents[i], f.one())
+    return Matrix(f, n, n, tuple(ents))
+
+
+def _report_probes(f, n, rng):
+    """Zero, random, derivation-basis and block-shaped matrices, the shaped
+    ones also perturbed so relations fail at positions other than the first."""
+    probes = [Matrix.zeros(f, n, n), _random_matrix(f, n, n, rng)]
+    shaped = list(derivation_space(dihedral(n), f).basis[:3])
+    if n % 4 == 0:
+        k = n // 4
+        shaped.append(_blocks_to_matrix(_random_matrix(f, k, k, rng), _random_matrix(f, k, k, rng)))
+    elif n % 2 == 0:
+        top = _random_matrix(f, n // 2, n, rng).to_lists()
+        shaped.append(Matrix.from_rows(f, top + [[f.neg(v) for v in row] for row in top]))
+    for m in shaped:
+        probes += [m, _perturbed(m, rng)]
+    return probes
+
+
+# Digest of the report lines and the number of distinct witnesses, per field.
+SEEDED_REPORT_DIGESTS = {
+    "Q": ("25cbef505d2691ac", 64),
+    "GF(2)": ("205b7989763c0320", 67),
+    "GF(3)": ("05e23a29902306c7", 61),
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(SEEDED_REPORT_DIGESTS))
+def test_symmetry_report_on_seeded_matrices_is_pinned(field_name):
+    digest, witnesses = SEEDED_REPORT_DIGESTS[field_name]
+    f = FieldSpec.from_name(field_name)
+    rng = random.Random(f"symmetry-report-{field_name}")
+    lines = []
+    seen = set()
+    for n in range(1, 17):
+        for m in _report_probes(f, n, rng):
+            for name, c in sorted(dihedral_symmetry_report(m, n).checks.items()):
+                lines.append(f"{n} {name} {c.applicable} {c.holds} {c.counterexample} {c.description}")
+                if c.counterexample:
+                    seen.add(c.counterexample)
+    assert len(seen) == witnesses
+    assert _digest("\n".join(lines)) == digest
+
+
 # ---------------------------------------------------------------------------
 # block decomposition
 
@@ -332,6 +428,89 @@ def test_blocks_reject_odd_order():
 def test_blocks_k_odd_has_no_uv_claim():
     rep = block_decomposition(Matrix.zeros(Q, 12, 12), 12)
     assert rep.fits_uv is None  # quarter 3 is odd
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_blocks_round_trip_through_table_layout(field_name, k):
+    f = FieldSpec.from_name(field_name)
+    rng = random.Random(f"blocks-{field_name}-{k}")
+    u, v = _random_matrix(f, k, k, rng), _random_matrix(f, k, k, rng)
+    d = _blocks_to_matrix(u, v)
+    n = 4 * k
+    rep = block_decomposition(d, n)
+    assert rep.form == "quadrant" and rep.fits
+    assert rep.p_block == Matrix(f, 2 * k, 2 * k, tuple(
+        d.entry(i, j) for i in range(2 * k) for j in range(2 * k)))
+    if k % 2 == 0:
+        assert rep.fits_uv and rep.u_block == u and rep.v_block == v
+    else:
+        assert rep.fits_uv is None and rep.u_block is None and rep.v_block is None
+    for i in range(n * n):
+        ents = list(d.entries)
+        ents[i] = f.add(ents[i], f.one())
+        changed = block_decomposition(Matrix(f, n, n, tuple(ents)), n)
+        assert not changed.fits and not changed.fits_uv, divmod(i, n)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)"])
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_blocks_half_rows_round_trip(field_name, n):
+    f = FieldSpec.from_name(field_name)
+    rng = random.Random(f"half-rows-{field_name}-{n}")
+    top = _random_matrix(f, n // 2, n, rng)
+    d = Matrix.from_rows(f, top.to_lists() + [[f.neg(x) for x in row] for row in top.to_lists()])
+    rep = block_decomposition(d, n)
+    assert rep.form == "half_rows" and rep.fits and rep.top_half == top
+    assert rep.p_block is None and rep.fits_uv is None
+    for i in range(n * n):
+        ents = list(d.entries)
+        ents[i] = f.add(ents[i], f.one())
+        assert not block_decomposition(Matrix(f, n, n, tuple(ents)), n).fits, divmod(i, n)
+
+
+def _direct_block_shape(d, n):
+    """(fits, fits_uv) by comparing the blocks entry by entry."""
+    f, h = d.field, n // 2
+    if n % 4:
+        return all(d.entry(x + h, t) == f.neg(d.entry(x, t)) for x in range(h) for t in range(n)), None
+    p = [[d.entry(i, j) for j in range(h)] for i in range(h)]
+    fits = all(d.entry(i, j) == (p[i % h][j % h] if (i < h) == (j < h) else f.neg(p[i % h][j % h]))
+               for i in range(n) for j in range(n))
+    k = n // 4
+    if k % 2:
+        return fits, None
+    uv = all(p[i + k][j + k] == p[i][j] and p[i + k][j] == f.neg(p[i][j + k])
+             for i in range(k) for j in range(k))
+    return fits, fits and uv
+
+
+def _tiled(f, tiles, size):
+    """The matrix made of a square grid of size × size tiles."""
+    return Matrix.from_rows(f, [[row_tiles[j // size].entry(i % size, j % size)
+                                 for j in range(size * len(row_tiles))]
+                                for row_tiles in tiles for i in range(size)])
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(2)", "GF(3)"])
+def test_blocks_agree_with_direct_block_comparison(field_name):
+    # Matrices that satisfy some of the relations behind a block shape but
+    # not all of them, so each conjunct decides some case.
+    f = FieldSpec.from_name(field_name)
+    rng = random.Random(f"block-shapes-{field_name}")
+    for n in range(2, 17, 2):
+        h, k = n // 2, n // 4
+        a, b = _random_matrix(f, h, h, rng), _random_matrix(f, h, h, rng)
+        cases = [_random_matrix(f, n, n, rng), Matrix.zeros(f, n, n),
+                 _tiled(f, [[a, b], [-a, -b]], h), _tiled(f, [[a, b], [b, a]], h),
+                 _tiled(f, [[a, -a], [-a, a]], h)]
+        if n % 4 == 0:
+            w = [_random_matrix(f, k, k, rng) for _ in range(4)]
+            cases += [_tiled(f, [w[-i:] + w[:-i] for i in range(4)], k),
+                      _blocks_to_matrix(w[0], w[1])]
+        for d in cases:
+            rep = block_decomposition(d, n)
+            assert (rep.fits, rep.fits_uv) == _direct_block_shape(d, n), n
 
 
 # ---------------------------------------------------------------------------

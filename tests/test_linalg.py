@@ -144,6 +144,27 @@ def test_insert_reduces_integer_rows_mod_p():
     assert not ech.insert({0: 6})
 
 
+@pytest.mark.parametrize("vec", [[1.5, 1], [0.5, 1], [0, 2.0]])
+def test_dense_insert_rejects_floats(vec):
+    with pytest.raises(TypeError, match="floating-point"):
+        span_from_vectors(Q, 2, [vec])
+
+
+@pytest.mark.parametrize("p", [3, 5, 2147483647])
+def test_dense_insert_coerces_fractions_into_gf_p(p):
+    f = GF(p)
+    vec = [Fraction(1, 2), 1]
+    assert span_from_vectors(f, 2, [vec]) == span_from_vectors(f, 2, [[f.coerce(v) for v in vec]])
+    assert contains(span_from_vectors(f, 2, [vec]), vec)
+
+
+def test_dense_insert_agrees_with_matrix_coercion():
+    rows = [[Fraction(1, 2), "2/3", 3], ["0", "-1/6", Fraction(5, 4)]]
+    for f in (Q, GF(7)):
+        coerced = Matrix.from_rows(f, rows).to_lists()
+        assert span_from_vectors(f, 3, rows) == span_from_vectors(f, 3, coerced)
+
+
 # ---------------------------------------------------------------------------
 # nullspace
 
