@@ -83,10 +83,7 @@ def _quandle_source(args) -> str:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        q = _load_quandle(args)
-    except AxiomViolation as exc:
-        return _fail("axiom_violation", str(exc), axiom=exc.axiom, witness=list(exc.witness))
+    q = _load_quandle(args)
     _emit({"ok": True, "quandle": q.to_json_dict()})
     return 0
 

@@ -11,9 +11,10 @@ is every product of seeds.  Nothing here multiplies matrices:
   each a sparse scatter and gather on integer rows that go straight into
   the echelon kernel, which reduces them mod p over GF(p); see
   ``lie_transformation_algebra``;
-- product spans are built from words stored as image tuples, where a
-  product is composition; see ``lr_form_bound`` and
-  ``alexander_canonical_form``.
+- product spans are products of word closures: the kept words spanning
+  every product of some generators (``_word_closure``), multiplied factor
+  by factor (``_product_span``); words are image tuples and a product is
+  composition.  See ``lr_form_bound`` and ``alexander_canonical_form``.
 
 Operators are flattened column-major into n²-dimensional coordinate space:
 coordinate x·n + u holds the coefficient of e_u in the image of e_x.  The
@@ -225,6 +226,7 @@ def inner_derivations(q: Quandle, f: FieldSpec) -> InnerDerivations:
 class LrSpan:
     """The span of (left-word)·(right-word) operator products.
 
+    The span is the product of the word closures of the L_x and of the R_x.
     ``contains_transformation_algebra`` reports the inclusion of the Lie
     transformation algebra in this span; ``strict`` whether the inclusion is
     proper.
@@ -237,46 +239,45 @@ class LrSpan:
     strict: bool
 
 
-def _next_word_layer(gens: list[Word], layer: list[Word], f: FieldSpec) -> list[Word]:
-    """Words one letter longer, g·w, that are independent within their layer.
+def _word_closure(f: FieldSpec, n: int, gens: Sequence[Word]) -> list[Word]:
+    """Kept words spanning every product of ``gens``, the empty product included.
 
-    Exact because g·span{w_i} = span{g·w_i}: the kept words span every
-    product of the longer length.
+    Each word that grew the span is extended once by every generator on the
+    left, so the span is closed under left multiplication by ``gens``.
     """
-    n = len(layer[0])
-    return _keep_independent(_Echelon(f, n * n), (_compose(g, w) for g in gens for w in layer))
+    ech = _Echelon(f, n * n)
+    frontier = _keep_independent(ech, [tuple(range(n))])
+    kept = list(frontier)
+    while frontier:
+        frontier = _keep_independent(ech, (_compose(g, w) for w in frontier for g in gens))
+        kept += frontier
+    return kept
+
+
+def _product_span(f: FieldSpec, n: int, *factors: Sequence[Word]) -> SubspaceBasis:
+    """The canonical span of every product a·b·… with one word from each factor.
+
+    Folded from the right, keeping only independent words after each factor:
+    span{a·w : a ∈ A, w ∈ W} = A·span(W), so dropped words add nothing.
+    """
+    words: list[Word] = [tuple(range(n))]
+    for factor in reversed(factors):
+        ech = _Echelon(f, n * n)
+        words = _keep_independent(ech, (_compose(a, w) for a in factor for w in words))
+    return ech.basis()
 
 
 def lr_form_bound(q: Quandle, f: FieldSpec) -> LrSpan:
     """Span of all products (m left multiplications)·(k right multiplications).
 
-    A_T, the span of the products with m + k ≤ T, grows with T until the
-    first T with A_T = A_{T−1}, and then never again.  Write L^m R^k for the
-    span of the products with m left and k right letters.  If A_T = A_{T−1},
-    every L^m R^k with m + k = T lies in A_{T−1}, so L·A_T ⊆ A_T (a left
-    letter turns L^m R^k with m + k ≤ T − 1 into a term of A_T) and
-    likewise A_T·R ⊆ A_T.  Every product of total length T + 1 is L·(length
-    T) or (length T)·R, so A_{T+1} = A_T.  The cap of 2n²+2 totals is a
-    guard only: the rank grows at most n² times.  The Lie transformation
-    algebra is then tested for membership.
+    By bilinearity this is span(L-words)·span(R-words), the product of the
+    two word closures.  The Lie transformation algebra is then tested for
+    membership.
     """
     n = q.n
-    lgens = [q.table[x] for x in range(n)]
-    rgens = [q.column_perm(x) for x in range(n)]
-    identity = tuple(range(n))
-    lw: list[list[Word]] = [[identity]]
-    rw: list[list[Word]] = [[identity]]
-    ech = _Echelon(f, n * n)
-    cap = 2 * n * n + 2
-    for total in range(cap + 1):
-        if total:
-            lw.append(_next_word_layer(lgens, lw[-1], f))
-            rw.append(_next_word_layer(rgens, rw[-1], f))
-        products = (_compose(a, b) for m in range(total + 1)
-                    for a in lw[m] for b in rw[total - m])
-        if not _keep_independent(ech, products):
-            break
-    basis = ech.basis()
+    lwords = _word_closure(f, n, [q.table[x] for x in range(n)])
+    rwords = _word_closure(f, n, [q.column_perm(x) for x in range(n)])
+    basis = _product_span(f, n, lwords, rwords)
     transf = lie_transformation_algebra(q, f)
     contained = all(contains(basis, v) for v in transf.subspace.vectors)
     return LrSpan(
@@ -297,8 +298,8 @@ class AlexanderFormReport:
     """Membership of the transformation algebra in the affine product span.
 
     The span collects L_f·L_0^a·R_0^b and R_g·L_0^a·R_0^b over all basis
-    indices f, g and all distinct powers a, b (power sequences of functional
-    maps cycle, so enumerating distinct powers is exact).
+    indices f, g and all powers a, b ≥ 0: the product of the heads L_x, R_x
+    with the word closures of L_0 and of R_0.
     """
 
     all_contained: bool
@@ -307,28 +308,13 @@ class AlexanderFormReport:
     transformation_dim: int
 
 
-def _distinct_powers(w: Word) -> list[Word]:
-    powers: list[Word] = []
-    cur = tuple(range(len(w)))
-    while cur not in powers:
-        powers.append(cur)
-        cur = _compose(cur, w)
-    return powers
-
-
 def alexander_canonical_form(q: Quandle, f: FieldSpec) -> AlexanderFormReport:
     if q.alexander is None:
         raise ValueError("quandle does not carry affine parameters")
     n = q.n
-    l0_powers = _distinct_powers(q.table[0])
-    r0_powers = _distinct_powers(q.column_perm(0))
-    # head·span{L_0^a·R_0^b} = span{head·w} over the independent tails w.
-    tails = _keep_independent(_Echelon(f, n * n),
-                              (_compose(la, rb) for la in l0_powers for rb in r0_powers))
     heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
-    ech = _Echelon(f, n * n)
-    _keep_independent(ech, (_compose(h, w) for h in heads for w in tails))
-    basis = ech.basis()
+    basis = _product_span(f, n, heads, _word_closure(f, n, [q.table[0]]),
+                          _word_closure(f, n, [q.column_perm(0)]))
     transf = lie_transformation_algebra(q, f)
     failures = tuple(
         i for i, v in enumerate(transf.subspace.vectors) if not contains(basis, v)
