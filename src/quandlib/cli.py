@@ -7,7 +7,9 @@ one PASS/FAIL line per bundled reference-table entry.  Exit status is 0 on
 success, 1 on computation or verification failure, 2 on usage errors.
 Rationals serialize as ``"num/den"`` strings, prime-field residues as
 integers; no floats appear anywhere.  Set QUANDLIB_VERBOSE=1 for extra
-detail in reports.
+detail in reports.  Quandle orders above ``quandles.MAX_ORDER`` (64), from a
+spec or a file, are refused as a ``value_error`` with exit status 1 before
+any table is built.
 """
 
 from __future__ import annotations

@@ -2,20 +2,21 @@
 
 Everything reduces to one kernel: an incremental echelonizer over sparse
 rows.  Callers hand it integer rows over either field; the kernel alone
-decides how rows are reduced and combined.  Over the rationals the working
-rows are integer vectors kept small by gcd division, and only the final
-reduced-echelon rows are scaled to leading coefficient 1 (producing
-``Fraction`` entries).  Over GF(p) the kernel reduces each incoming row mod
-p and keeps canonical residues throughout.  Reduced row-echelon form is
-unique, so every subspace has exactly one ``SubspaceBasis`` representation
-and equality of subspaces is equality of values.
+decides how rows are reduced and combined.  Its stored rows are in reduced
+row-echelon form at all times, so each row is reduced in one combination.
+Over the rationals the rows are integer vectors kept small by gcd division,
+and only ``finalize`` scales them to leading coefficient 1 (producing
+``Fraction`` entries); over GF(p) they are canonical residues throughout.
+Reduced row-echelon form is unique, so every subspace has exactly one
+``SubspaceBasis`` representation and equality of subspaces is equality of
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec, Scalar
@@ -166,42 +167,16 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _clear_q(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
-    """Clear column ``c`` of an integer row: a·row − b·piv, gcd-normalized."""
-    a, b = piv[c], row[c]
-    new = {k: a * v for k, v in row.items()}
-    for k, v in piv.items():
-        w = new.get(k, 0) - b * v
-        if w:
-            new[k] = w
-        elif k in new:
-            del new[k]
-    return _gcd_normalize(new)
-
-
-def _clear_p(row: dict[int, int], piv: dict[int, int], c: int, p: int) -> dict[int, int]:
-    """Clear column ``c`` of a residue row with a monic pivot row: row − b·piv mod p."""
-    b = row[c]
-    new = dict(row)
-    for k, v in piv.items():
-        w = (new.get(k, 0) - b * v) % p
-        if w:
-            new[k] = w
-        elif k in new:
-            del new[k]
-    return new
-
-
 class _Echelon:
-    """Incremental row-space echelonizer on sparse rows.
+    """Incremental row-space echelonizer on sparse rows, kept in RREF.
 
     ``insert`` takes a sparse integer row {column: value} with no zero
     entries; over GF(p) the kernel reduces it mod p itself, so a row that
     vanishes mod p is simply dependent.  Over Q the stored rows are
     gcd-reduced integer rows with positive leading coefficient; over GF(p)
-    they are residue rows with leading coefficient 1.  One helper per field
-    (``_clear_q``, ``_clear_p``) does every elimination step, in ``insert``
-    and in ``finalize``, which back-substitutes to the unique RREF and
+    they are residue rows with leading coefficient 1.  Every stored row is
+    zero in every other pivot column, so ``_combine`` reduces a row against
+    any set of pivots in one linear combination, and ``finalize`` only
     scales pivots to 1.
     """
 
@@ -230,43 +205,49 @@ class _Echelon:
             den = den * v.denominator // gcd(den, v.denominator)
         return self.insert({c: int(v * den) for c, v in row.items()})
 
+    def _combine(self, row: dict[int, int], cols: Sequence[int]) -> dict[int, int]:
+        """scale·row − Σ (scale/lead_c)·row[c]·piv_c over the pivot columns
+        ``cols``, with scale the lcm of their leads (1 over GF(p)); then
+        gcd-normalized over Q, reduced mod p over GF(p)."""
+        rows, p = self.rows, self.p
+        scale = 1
+        if p is None:
+            for c in cols:
+                scale = lcm(scale, rows[c][c])
+        new = dict(row) if scale == 1 else {k: scale * v for k, v in row.items()}
+        get = new.get
+        for c in cols:
+            piv = rows[c]
+            m = scale // piv[c] * row[c]
+            for k, v in piv.items():
+                new[k] = get(k, 0) - m * v
+        if p is None:
+            return _gcd_normalize({k: v for k, v in new.items() if v})
+        return {k: r for k, v in new.items() if (r := v % p)}
+
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the basis; store it if independent."""
-        p = self.p
-        if p is not None:
-            row = {k: r for k, v in row.items() if (r := v % p)}
-        while row:
-            c = min(row)
-            piv = self.rows.get(c)
-            if piv is None:
-                if p is None:
-                    row = _gcd_normalize(row)
-                else:
-                    lead_inv = pow(row[c], -1, p)
-                    row = {k: v * lead_inv % p for k, v in row.items()}
-                self.rows[c] = row
-                return True
-            row = _clear_q(row, piv, c) if p is None else _clear_p(row, piv, c, p)
-        return False
+        rows, p = self.rows, self.p
+        row = self._combine(row, [c for c in row if c in rows])
+        if not row:
+            return False
+        c = min(row)
+        if p is not None and row[c] != 1:
+            lead_inv = pow(row[c], -1, p)
+            row = {k: v * lead_inv % p for k, v in row.items()}
+        rows[c] = row
+        for k, other in rows.items():
+            if k != c and c in other:
+                rows[k] = self._combine(other, (c,))
+        return True
 
     def finalize(self) -> list[tuple[int, Vector]]:
         """Return ``(pivot_col, dense_row)`` pairs of the canonical RREF."""
-        p = self.p
-        pivot_cols = sorted(self.rows)
-        # Clear entries above each pivot, rightmost pivot first.
-        for c in reversed(pivot_cols):
-            low = self.rows[c]
-            for c2 in pivot_cols:
-                if c2 >= c:
-                    break
-                r = self.rows[c2]
-                if c in r:
-                    self.rows[c2] = _clear_q(r, low, c) if p is None else _clear_p(r, low, c, p)
         out = []
-        for c in pivot_cols:
+        for c in sorted(self.rows):
             row = self.rows[c]
             dense: list[Scalar] = [self.field.zero()] * self.ambient
-            if p is None:
+            if self.p is None:
                 lead = row[c]
                 for k, v in row.items():
                     dense[k] = Fraction(v, lead)

@@ -16,6 +16,15 @@ from typing import Sequence
 
 TableLike = Sequence[Sequence[int]]
 
+# Largest order accepted from specs and JSON tables (up to n**3 Leibniz rows).
+MAX_ORDER = 64
+
+
+def _check_order(n: int) -> int:
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the limit MAX_ORDER = {MAX_ORDER}")
+    return n
+
 
 class AxiomViolation(Exception):
     """A Cayley table that fails one of the three quandle axioms.
@@ -149,13 +158,15 @@ def from_json_dict(data: dict, label: str | None = None) -> Quandle:
 
     A top level that is not an object, a table that is not a list, or a row
     that is not a list raises ValueError, so that a malformed file never
-    surfaces as a TypeError.
+    surfaces as a TypeError; so does a table of more than ``MAX_ORDER`` rows,
+    before anything is allocated for it.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a quandle must be a JSON object, got {type(data).__name__}")
     table = data["table"]
     if not isinstance(table, list):
         raise ValueError(f"table must be a list of rows, got {type(table).__name__}")
+    _check_order(len(table))
     if data.get("n", len(table)) != len(table):
         raise ValueError("declared order does not match table size")
     for x, row in enumerate(table):
@@ -353,7 +364,8 @@ def parse_quandle_spec(spec: str) -> Quandle:
     """Build a quandle from a compact text spec.
 
     Accepted forms: ``trivial:N``, ``dihedral:N``, ``alexander:N,ALPHA``,
-    ``conjugation:s3``, ``conjugation:zN`` and ``catalog:LABEL``.
+    ``conjugation:s3``, ``conjugation:zN`` and ``catalog:LABEL``.  An order
+    N above ``MAX_ORDER`` raises ValueError before the table is built.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
@@ -361,18 +373,18 @@ def parse_quandle_spec(spec: str) -> Quandle:
     if not arg:
         raise ValueError(f"malformed quandle spec {spec!r}")
     if kind == "trivial":
-        return trivial(int(arg))
+        return trivial(_check_order(int(arg)))
     if kind == "dihedral":
-        return dihedral(int(arg))
+        return dihedral(_check_order(int(arg)))
     if kind == "alexander":
         n_text, _, alpha_text = arg.partition(",")
-        return alexander(int(n_text), int(alpha_text))
+        return alexander(_check_order(int(n_text)), int(alpha_text))
     if kind == "conjugation":
         name = arg.lower()
         if name == "s3":
             return conjugation(S3_TABLE)
         if name.startswith("z"):
-            return conjugation(cyclic_group_table(int(name[1:])))
+            return conjugation(cyclic_group_table(_check_order(int(name[1:]))))
         raise ValueError(f"unknown group name {arg!r} (use s3 or zN)")
     if kind == "catalog":
         return catalog_lookup(arg)

@@ -162,6 +162,13 @@ def test_invalid_spec_reports_value_error(capsys):
     assert data["error"]["kind"] == "value_error"
 
 
+def test_order_above_limit_reports_value_error(capsys):
+    code, data = run_json(capsys, "validate", "--quandle", "trivial:100000")
+    assert code == 1
+    assert data["error"]["kind"] == "value_error"
+    assert "MAX_ORDER" in data["error"]["message"]
+
+
 
 @pytest.mark.parametrize("text", ["[]", '{"table": 5}', '{"table": [[0, 1], 5]}'],
                          ids=["top-level-list", "table-not-list", "row-not-list"])

@@ -125,16 +125,22 @@ def test_rref_matches_dense_gauss_jordan_oracle(p):
 
 @FIELDS
 def test_echelon_takes_raw_integer_rows(p):
-    # insert reduces unreduced integer rows itself; the RREF matches the oracle.
+    # insert reduces unreduced integer rows itself; after every insert the
+    # stored rows are reduced, and finalize matches the oracle on the prefix
+    # without changing them.
     field = Q if p is None else GF(p)
     for rows, ncols in _random_integer_matrices(p):
-        want, want_pivots = _oracle_rref(rows, ncols, p)
         ech = _Echelon(field, ncols)
-        for row in rows:
+        for i, row in enumerate(rows, 1):
             ech.insert({c: v for c, v in enumerate(row) if v})
-        finalized = ech.finalize()
-        assert [c for c, _ in finalized] == want_pivots
-        assert [list(row) for _, row in finalized] == want[: len(want_pivots)]
+            for c, stored in ech.rows.items():
+                assert all(k == c or k not in ech.rows for k in stored)
+            before = {c: dict(stored) for c, stored in ech.rows.items()}
+            finalized = ech.finalize()
+            assert ech.rows == before
+            want, want_pivots = _oracle_rref(rows[:i], ncols, p)
+            assert [c for c, _ in finalized] == want_pivots
+            assert [list(row) for _, row in finalized] == want[: len(want_pivots)]
 
 
 def test_insert_reduces_integer_rows_mod_p():

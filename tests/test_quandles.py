@@ -3,7 +3,9 @@ from itertools import permutations
 
 import pytest
 
+from quandlib import quandles
 from quandlib.quandles import (
+    MAX_ORDER,
     AlexanderParams,
     AxiomViolation,
     NotAGroupError,
@@ -279,6 +281,26 @@ def test_parse_quandle_spec():
     for bad in ("dihedral", "weird:3", "conjugation:k4"):
         with pytest.raises(ValueError):
             parse_quandle_spec(bad)
+
+
+@pytest.mark.parametrize("spec", ["trivial:{}", "dihedral:{}", "alexander:{},2", "conjugation:z{}"])
+def test_spec_order_limit_is_checked_before_building(monkeypatch, spec):
+    def refuse(*args):
+        raise AssertionError("a table was built past the order limit")
+
+    for name in ("trivial", "dihedral", "alexander", "cyclic_group_table"):
+        monkeypatch.setattr(quandles, name, refuse)
+    with pytest.raises(ValueError, match=f"MAX_ORDER = {MAX_ORDER}"):
+        parse_quandle_spec(spec.format(MAX_ORDER + 1))
+
+
+def test_spec_at_order_limit_is_accepted():
+    assert parse_quandle_spec(f"trivial:{MAX_ORDER}") == trivial(MAX_ORDER)
+
+
+def test_json_order_limit_is_checked_before_validation():
+    with pytest.raises(ValueError, match=f"MAX_ORDER = {MAX_ORDER}"):
+        from_json_dict({"table": [[0]] * (MAX_ORDER + 1)})
 
 
 def test_medial_for_conjugation_of_abelian_groups():
