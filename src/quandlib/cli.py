@@ -7,9 +7,10 @@ one PASS/FAIL line per bundled reference-table entry.  Exit status is 0 on
 success, 1 on computation or verification failure, 2 on usage errors.
 Rationals serialize as ``"num/den"`` strings, prime-field residues as
 integers; no floats appear anywhere.  Set QUANDLIB_VERBOSE=1 for extra
-detail in reports.  Quandle orders above ``quandles.MAX_ORDER`` (64), from a
-spec or a file, are refused as a ``value_error`` with exit status 1 before
-any table is built.
+detail in reports.  A quandle's order must be at least 1 and at most
+``quandles.MAX_ORDER`` (64), from a spec or a file, and a file may hold at
+most ``MAX_FILE_BYTES`` (1 MiB); anything else is refused as a
+``value_error`` with exit status 1 before any table is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 import sys
 
 from .fields import FieldSpec
-from .linalg import Matrix, SubspaceBasis
 from .quandles import (
     AxiomViolation,
     NotAGroupError,
@@ -35,25 +35,16 @@ from .lietransform import _inner_split, inner_derivations, lie_transformation_al
 from . import tables as table_mod
 from .linalg import span_sum
 
+# Largest ``--file`` accepted, read before any JSON is parsed.
+MAX_FILE_BYTES = 1 << 20
+
 
 def _verbose() -> bool:
     return os.environ.get("QUANDLIB_VERBOSE", "0") not in ("", "0")
 
 
-def _scalar_json(f: FieldSpec, v):
-    return int(v) if f.is_prime_field else str(v)
-
-
-def _vector_json(f: FieldSpec, vec):
-    return [_scalar_json(f, v) for v in vec]
-
-
-def _matrix_json(m: Matrix):
-    return [_vector_json(m.field, m.row(i)) for i in range(m.nrows)]
-
-
-def _basis_json(b: SubspaceBasis):
-    return [_vector_json(b.field, vec) for vec in b.vectors]
+def _rows_json(f: FieldSpec, rows):
+    return [[int(v) if f.is_prime_field else str(v) for v in row] for row in rows]
 
 
 def _emit(payload) -> None:
@@ -66,61 +57,46 @@ def _fail(kind: str, message: str, **extra) -> int:
 
 
 def _load_quandle(args) -> Quandle:
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError("JSON nesting is too deep") from None
+    if args.file is not None:
+        with open(args.file, "rb") as fh:
+            raw = fh.read(MAX_FILE_BYTES + 1)
+        if len(raw) > MAX_FILE_BYTES:
+            raise ValueError(f"file exceeds the limit MAX_FILE_BYTES = {MAX_FILE_BYTES}")
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep") from None
         return from_json_dict(data)
     return parse_quandle_spec(args.quandle)
 
 
-def _quandle_source(args) -> str:
-    return args.file if args.file else args.quandle
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps a quandle and a field (None without --field) to the
+# report's entries beyond the "quandle"/"field" header
 
 
-def _cmd_validate(args) -> int:
-    q = _load_quandle(args)
-    _emit({"ok": True, "quandle": q.to_json_dict()})
-    return 0
+def _cmd_validate(q: Quandle, f: FieldSpec | None) -> dict:
+    return {"ok": True, "quandle": q.to_json_dict()}
 
 
-def _cmd_props(args) -> int:
-    q = _load_quandle(args)
+def _cmd_props(q: Quandle, f: FieldSpec | None) -> dict:
     p = props(q)
-    _emit({
-        "quandle": _quandle_source(args),
+    return {
         "n": q.n,
         "involutive": p.involutive,
         "latin": p.latin,
         "medial": p.medial,
         "connected": p.connected,
         "orbits": [list(o) for o in p.orbits],
-    })
-    return 0
+    }
 
 
-def _cmd_derivations(args) -> int:
-    q = _load_quandle(args)
-    f = FieldSpec.from_name(args.field)
+def _cmd_derivations(q: Quandle, f: FieldSpec) -> dict:
     der = derivation_space(q, f)
-    _emit({
-        "quandle": _quandle_source(args),
-        "field": f.name,
-        "dim": der.dim,
-        "basis": [_matrix_json(m) for m in der.basis],
-    })
-    return 0
+    return {"dim": der.dim, "basis": [_rows_json(f, m.to_lists()) for m in der.basis]}
 
 
-def _cmd_symmetries(args) -> int:
-    q = _load_quandle(args)
-    f = FieldSpec.from_name(args.field)
+def _cmd_symmetries(q: Quandle, f: FieldSpec) -> dict:
     der = derivation_space(q, f)
     elements = []
     for i, m in enumerate(der.basis):
@@ -137,70 +113,75 @@ def _cmd_symmetries(args) -> int:
                 for name, c in sorted(rep.checks.items())
             },
         })
-    _emit({
-        "quandle": _quandle_source(args),
-        "field": f.name,
-        "dim": der.dim,
-        "elements": elements,
-    })
-    return 0
+    return {"dim": der.dim, "elements": elements}
 
 
-def _cmd_lietransform(args) -> int:
-    q = _load_quandle(args)
-    f = FieldSpec.from_name(args.field)
+def _cmd_lietransform(q: Quandle, f: FieldSpec) -> dict:
     transf = lie_transformation_algebra(q, f)
     inner = _inner_split(q, f, transf)
     payload = {
-        "quandle": _quandle_source(args),
-        "field": f.name,
         "dim": transf.dim,
-        "basis": _basis_json(transf.subspace),
+        "basis": _rows_json(f, transf.subspace.vectors),
         "inner_dim": inner.inner_dim,
         "outer_dim": inner.outer_dim,
     }
     if _verbose():
         payload["generator_log"] = list(transf.generator_log)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_inner(args) -> int:
-    q = _load_quandle(args)
-    f = FieldSpec.from_name(args.field)
+def _cmd_inner(q: Quandle, f: FieldSpec) -> dict:
     inner = inner_derivations(q, f)
-    _emit({
-        "quandle": _quandle_source(args),
-        "field": f.name,
+    return {
         "derivation_dim": inner.derivation_dim,
         "transformation_dim": inner.transformation_dim,
         "inner_dim": inner.inner_dim,
         "outer_dim": inner.outer_dim,
-        "basis": _basis_json(inner.basis),
-    })
-    return 0
+        "basis": _rows_json(f, inner.basis.vectors),
+    }
 
 
-def _cmd_ideals(args) -> int:
-    q = _load_quandle(args)
-    f = FieldSpec.from_name(args.field)
+def _cmd_ideals(q: Quandle, f: FieldSpec) -> dict:
     aug = augmentation_ideal(q, f)
     jx = jx_ideal(q, f)
-    jx_inside = span_sum(aug, jx) == aug if jx.dim else True
-    _emit({
-        "quandle": _quandle_source(args),
-        "field": f.name,
-        "augmentation_ideal": {"dim": aug.dim, "basis": _basis_json(aug)},
+    return {
+        "augmentation_ideal": {"dim": aug.dim, "basis": _rows_json(f, aug.vectors)},
         "commutator_right_ideal": {
             "dim": jx.dim,
-            "basis": _basis_json(jx),
-            "contained_in_augmentation_ideal": jx_inside,
+            "basis": _rows_json(f, jx.vectors),
+            "contained_in_augmentation_ideal": span_sum(aug, jx) == aug,
         },
-    })
+    }
+
+
+# name -> (help, takes --field, command), in the order ``--help`` lists them
+_COMMANDS = {
+    "validate": ("check the three quandle axioms", False, _cmd_validate),
+    "props": ("structural predicates and orbits", False, _cmd_props),
+    "derivations": ("derivation space of the quandle algebra", True, _cmd_derivations),
+    "symmetries": ("coefficient symmetry report per basis derivation", True, _cmd_symmetries),
+    "lietransform": ("Lie transformation algebra", True, _cmd_lietransform),
+    "inner": ("inner/outer derivation split", True, _cmd_inner),
+    "ideals": ("augmentation ideal and the commutator right ideal", True, _cmd_ideals),
+}
+
+
+def _run(args) -> int:
+    """Print a command's report; a bad spec is reported before a bad field."""
+    if args.command == "tables":
+        return _run_tables()
+    _, with_field, command = _COMMANDS[args.command]
+    q = _load_quandle(args)
+    header = {"quandle": args.quandle if args.file is None else args.file}
+    f = None
+    if with_field:
+        f = FieldSpec.from_name(args.field)
+        header["field"] = f.name
+    _emit({**header, **command(q, f)})
     return 0
 
 
-def _cmd_tables(args) -> int:
+def _run_tables() -> int:
     results = table_mod.run_all()
     verbose = _verbose()
     failures = 0
@@ -230,50 +211,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_quandle_args(p: argparse.ArgumentParser, with_field: bool = True) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--quandle", help="builtin spec, e.g. dihedral:6, trivial:3, "
-                                       "alexander:5,2, conjugation:s3, catalog:4.6")
-    src.add_argument("--file", help="JSON file with {\"n\": int, \"table\": [[int]]}")
-    if with_field:
-        p.add_argument("--field", default="Q", help="Q (default) or GF(p)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quandlib", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the three quandle axioms")
-    _add_quandle_args(p, with_field=False)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("props", help="structural predicates and orbits")
-    _add_quandle_args(p, with_field=False)
-    p.set_defaults(func=_cmd_props)
-
-    p = sub.add_parser("derivations", help="derivation space of the quandle algebra")
-    _add_quandle_args(p)
-    p.set_defaults(func=_cmd_derivations)
-
-    p = sub.add_parser("symmetries", help="coefficient symmetry report per basis derivation")
-    _add_quandle_args(p)
-    p.set_defaults(func=_cmd_symmetries)
-
-    p = sub.add_parser("lietransform", help="Lie transformation algebra")
-    _add_quandle_args(p)
-    p.set_defaults(func=_cmd_lietransform)
-
-    p = sub.add_parser("inner", help="inner/outer derivation split")
-    _add_quandle_args(p)
-    p.set_defaults(func=_cmd_inner)
-
-    p = sub.add_parser("ideals", help="augmentation ideal and the commutator right ideal")
-    _add_quandle_args(p)
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("tables", help="verify all bundled reference tables")
-    p.set_defaults(func=_cmd_tables)
-
+    for name, (help_text, with_field, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--quandle", help="builtin spec, e.g. dihedral:6, trivial:3, "
+                                           "alexander:5,2, conjugation:s3, catalog:4.6")
+        src.add_argument("--file", help="JSON file with {\"n\": int, \"table\": [[int]]}")
+        if with_field:
+            p.add_argument("--field", default="Q", help="Q (default) or GF(p)")
+    sub.add_parser("tables", help="verify all bundled reference tables")
     return parser
 
 
@@ -284,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return _run(args)
     except AxiomViolation as exc:
         return _fail("axiom_violation", str(exc), axiom=exc.axiom, witness=list(exc.witness))
     except NotAGroupError as exc:

@@ -347,20 +347,27 @@ def nullspace(m: Matrix) -> SubspaceBasis:
 
 
 def _nullspace_from_echelon(field: FieldSpec, ncols: int, ech: _Echelon) -> SubspaceBasis:
-    finalized = ech.finalize()
-    pivot_set = {c for c, _ in finalized}
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    neg = field.neg
+    # The stored rows are in RREF, so for each free column f the kernel holds
+    # scale·e_f − Σ (scale/lead_c)·rows[c][f]·e_c over the pivot rows c that
+    # hold f, with scale the lcm of their leads (1 over GF(p)).  Only those
+    # entries are read; the stored rows are never densified.
+    rows = ech.rows
+    holders: dict[int, list[int]] = {}
+    for c, row in rows.items():
+        for k in row:
+            if k != c:
+                holders.setdefault(k, []).append(c)
     gens = []
-    for f in free_cols:
-        vec: list[Scalar] = [field.zero()] * ncols
-        vec[f] = field.one()
-        for c, row in finalized:
-            if row[f]:
-                vec[c] = neg(row[f])
-        gens.append(tuple(vec))
-    # The free-column generators are independent but not echelonized when a
-    # pivot column precedes a free column; canonicalize them.
+    for f in range(ncols):
+        if f in rows:
+            continue
+        cs = holders.get(f, ())
+        scale = lcm(*(rows[c][c] for c in cs))
+        vec = [0] * ncols
+        vec[f] = scale
+        for c in cs:
+            vec[c] = -(scale // rows[c][c]) * rows[c][f]
+        gens.append(vec)
     return span_from_vectors(field, ncols, gens)
 
 
@@ -381,9 +388,12 @@ def span_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     for v in b.vectors:
         ech.insert_dense(tuple(v) + (zero,) * n)
     gens = []
-    for c, row in ech.finalize():
+    for c, row in ech.rows.items():
         if c >= n:
-            gens.append(row[n:])
+            vec = [0] * n
+            for k, v in row.items():
+                vec[k - n] = v
+            gens.append(vec)
     return span_from_vectors(a.field, n, gens)
 
 

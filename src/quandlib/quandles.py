@@ -158,8 +158,9 @@ def from_json_dict(data: dict, label: str | None = None) -> Quandle:
 
     A top level that is not an object, a table that is not a list, or a row
     that is not a list raises ValueError, so that a malformed file never
-    surfaces as a TypeError; so does a table of more than ``MAX_ORDER`` rows,
-    before anything is allocated for it.
+    surfaces as a TypeError; so does an empty table or one of more than
+    ``MAX_ORDER`` rows, before anything is allocated for it, and a declared
+    ``n`` that is not an integer.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a quandle must be a JSON object, got {type(data).__name__}")
@@ -167,8 +168,13 @@ def from_json_dict(data: dict, label: str | None = None) -> Quandle:
     if not isinstance(table, list):
         raise ValueError(f"table must be a list of rows, got {type(table).__name__}")
     _check_order(len(table))
-    if data.get("n", len(table)) != len(table):
+    if not table:
+        raise ValueError("order must be positive")
+    n = data.get("n", len(table))
+    if n != len(table):
         raise ValueError("declared order does not match table size")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"declared order must be an integer, got {n!r}")
     for x, row in enumerate(table):
         if not isinstance(row, list):
             raise ValueError(f"table row {x} must be a list, got {type(row).__name__}")

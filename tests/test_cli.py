@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from quandlib.cli import main
+from quandlib.cli import MAX_FILE_BYTES, main
 
 # Passes axioms I and II but fails the self-distributivity axiom at (0, 1, 2).
 BAD_TABLE = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
@@ -169,9 +170,28 @@ def test_order_above_limit_reports_value_error(capsys):
     assert "MAX_ORDER" in data["error"]["message"]
 
 
+def _padded_file(tmp_path, size):
+    # a valid order-3 table followed by whitespace up to ``size`` bytes
+    text = json.dumps({"n": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]})
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (size - len(text)))
+    return str(path)
 
-@pytest.mark.parametrize("text", ["[]", '{"table": 5}', '{"table": [[0, 1], 5]}'],
-                         ids=["top-level-list", "table-not-list", "row-not-list"])
+
+def test_file_at_size_limit_is_read(tmp_path, capsys):
+    code, data = run_json(capsys, "validate", "--file", _padded_file(tmp_path, MAX_FILE_BYTES))
+    assert code == 0 and data["ok"]
+
+
+def test_file_above_size_limit_reports_value_error(tmp_path, capsys):
+    code, data = run_json(capsys, "validate", "--file", _padded_file(tmp_path, MAX_FILE_BYTES + 1))
+    assert code == 1
+    assert data["error"]["kind"] == "value_error"
+    assert "MAX_FILE_BYTES" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ["[]", '{"table": 5}', '{"table": [[0, 1], 5]}', '{"table": []}'],
+                         ids=["top-level-list", "table-not-list", "row-not-list", "empty-table"])
 def test_malformed_json_shapes_report_value_error(tmp_path, capsys, text):
     # Each shape gets the JSON error object and exit code 1, not a traceback.
     path = tmp_path / "q.json"
@@ -179,6 +199,12 @@ def test_malformed_json_shapes_report_value_error(tmp_path, capsys, text):
     code, data = run_json(capsys, "validate", "--file", str(path))
     assert code == 1
     assert data["error"]["kind"] == "value_error"
+
+
+def test_empty_file_path_reports_file_error(capsys):
+    code, data = run_json(capsys, "validate", "--file", "")
+    assert code == 1
+    assert data["error"]["kind"] == "file_error"
 
 
 def test_directory_as_file_reports_file_error(tmp_path, capsys):
@@ -209,3 +235,59 @@ def test_lietransform_computes_the_algebra_once(capsys, monkeypatch):
     monkeypatch.setattr(lt, "lie_transformation_algebra", counted)
     code, _ = run_json(capsys, "lietransform", "--quandle", "dihedral:4", "--field", "Q")
     assert code == 0 and calls == [4]
+
+
+# Exit code and stdout sha256 of each call.  A refactor of the front end must
+# leave every one byte-identical; a change that means to alter one records its
+# new digest.  "q.json" is PIN_TABLE, written to the working directory.
+PIN_TABLE = [[0, 0, 0, 1], [1, 1, 1, 2], [2, 2, 2, 0], [3, 3, 3, 3]]
+PINNED = [
+    ("validate --quandle dihedral:6", 0, "5d7233b51a3e0a3f0c684e7cb62a1179d07680bd57a9c9f41ce0ebb18ee4ecab"),
+    ("props --quandle dihedral:6", 0, "e2669119d3175620ed443f50f1ca84cfc5f17a00c3f2f154b833a10faec7f129"),
+    ("derivations --quandle dihedral:6 --field Q", 0, "00d8fb48e338561e82675e40aec523d3cf37dc39f5fde4f4d680380b530c6d5c"),
+    ("derivations --quandle dihedral:6 --field GF(3)", 0, "b659da38fe5ddcb2232e77367b9d70bbc5a27a79de8d28891ddc07446264236c"),
+    ("symmetries --quandle dihedral:6 --field Q", 0, "445d7d4874679103c8a2dd22dc4e59f6b1be32285333404d444c89fac2180043"),
+    ("symmetries --quandle dihedral:6 --field GF(3)", 0, "2f5040e058e8ae037fd1d750f6c36e75e98922420b29c4da464769e5f5dfb916"),
+    ("lietransform --quandle dihedral:6 --field Q", 0, "7ae5e2d21ff21e1f4049ffea0e3fa2a0919e94b13c6c8e9b5ef4054ea92f7f7f"),
+    ("lietransform --quandle dihedral:6 --field GF(3)", 0, "0a0caed8070c6777071fe57265f4e553ff43604b33713bb41a9360dc10604e8c"),
+    ("inner --quandle dihedral:6 --field Q", 0, "a4d85c10cbf7f7c112e12fd0e4ee0f1e8af4b9b3859241a5b911376c796fae1b"),
+    ("inner --quandle dihedral:6 --field GF(3)", 0, "ceee13291a269b3f98251d73adc4c9b825f4d407d32197c244932a29e8b4d5b3"),
+    ("ideals --quandle dihedral:6 --field Q", 0, "bfdd7319fe54a633117f8fa0a837ec9434156d53117fb79e8af6b3965f56460c"),
+    ("ideals --quandle dihedral:6 --field GF(3)", 0, "e6c120c7bb9482150f4e7288270515c49b647db0f7998d01357074a967a6a1a3"),
+    ("validate --quandle catalog:4.2", 0, "dfa29452175d6c715a5db6c341dc37a6707ccc96a1923c014f1e43509f5668bc"),
+    ("props --quandle catalog:4.2", 0, "cd4803f6345a86fcf0498b80663b4d939535503d907d487efec8a2b90b289639"),
+    ("derivations --quandle catalog:4.2 --field Q", 0, "3d5b688ce596709d5da3b7d0b7dc45c0ae9c302d6e9d2b99f51b5e4cb0cab2db"),
+    ("derivations --quandle catalog:4.2 --field GF(3)", 0, "057f5cbaf03512407602c0bf03b55182697a34c58d270272a5b84472e6248837"),
+    ("symmetries --quandle catalog:4.2 --field Q", 0, "b1937e998156eab9c5dcff5c8fd7d23977bf7e71bb59c4213b4bdde83cc35d4a"),
+    ("symmetries --quandle catalog:4.2 --field GF(3)", 0, "d002438169f8fce035883b3c5571377d763a048ceb093b03702a06bf39d3d885"),
+    ("lietransform --quandle catalog:4.2 --field Q", 0, "89bad10fcb5da393e2d0c18600344be4ef9269dd95a5ffe4851ddde315bb06c9"),
+    ("lietransform --quandle catalog:4.2 --field GF(3)", 0, "65e1b49dcb99923aa4baf7495be7e44f2ab48969bc3630f19ec9c2e95356a38c"),
+    ("inner --quandle catalog:4.2 --field Q", 0, "d3c711afb1bb709a2fb25ca97a71b75f0fc7fd7bec19806e079ad035d952e7a4"),
+    ("inner --quandle catalog:4.2 --field GF(3)", 0, "b35f3232fc3e8493ce5d42f26db8f90840144cde2020cc51d31863d6fca4fdee"),
+    ("ideals --quandle catalog:4.2 --field Q", 0, "34f7288df66a3f820cba517ee7408b5a10b496f065ad3ad6999eb1d548a3cc75"),
+    ("ideals --quandle catalog:4.2 --field GF(3)", 0, "f1d7d26882dc36af3b67420b8962b390ffe486bebdaea9a39e27825f7baba242"),
+    ("validate --file q.json", 0, "c7281a59228b0f681da0e90969ecfcb09c52f70cb6592b044feed555edf814d8"),
+    ("props --file q.json", 0, "1f12e250c14074f5cb7d8e320d9f6a9d2373c15a95eda298e67b97501ce63bcc"),
+    ("derivations --file q.json --field Q", 0, "8470c629c0af538c73e849669202a167a3487a425cf614df9cac5c87c4779dc0"),
+    ("derivations --file q.json --field GF(3)", 0, "6506abfa4c19f340eb394c236814423d8ebacbd75e32f5b43934cc9c33f954bd"),
+    ("symmetries --file q.json --field Q", 0, "72102f778b1f9d8981a2407fb1c3c09d619af4a2c0b9459dce2c6b69dbe50f95"),
+    ("symmetries --file q.json --field GF(3)", 0, "15afacdd92726409b3b259a38cfdfecf1ea47f5ea0a34cad1e6d37856d3f1b60"),
+    ("lietransform --file q.json --field Q", 0, "727d50be5bd02afbbed129ec98ebb75a18cd1cc3110a3059f76118ba8bb1c8eb"),
+    ("lietransform --file q.json --field GF(3)", 0, "81cea76a8e55c48c6b1f9b422ba89003daecbf9f7a1f616144b05b09ca29ee36"),
+    ("inner --file q.json --field Q", 0, "56e0a2a0b701a8b12af12fec20a00974b93dcc27e3bcbc268c9c32fea198a3fd"),
+    ("inner --file q.json --field GF(3)", 0, "cee4da5aaba507085bcd9958209497873f56d54c3538c426ccec152cd5dcc946"),
+    ("ideals --file q.json --field Q", 0, "98ef4bbed31ccfbd134fb00b8badc1860a1e8c96db1afdbbaa6cab783bedd36f"),
+    ("ideals --file q.json --field GF(3)", 0, "1b4741ed2b2157a47834f3fa0842813fc096abe1a90e069585479eea4daa852a"),
+    ("derivations --quandle dihedral:6 --file q.json", 2, "a14c7b9ff0732ae15f217baf9ce623f428fc54b7222286ad1776459e10114120"),
+    ("tables", 1, "a2cdefd2d41b8e3c05beb4f4ba69c9fc16f8194b3f9576a32d0ec8281ad17552"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED,
+                         ids=[a.replace(" ", "_") for a, _, _ in PINNED])
+def test_pinned_output(tmp_path, capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv("QUANDLIB_VERBOSE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps({"n": 4, "table": PIN_TABLE}))
+    got_code, out = run_cli(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

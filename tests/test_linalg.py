@@ -204,6 +204,23 @@ def test_nullspace_vectors_satisfy_system_exactly():
     assert ns.dim == 4 - len(rref(m)[1])
 
 
+def test_nullspace_of_random_matrices_with_non_unit_leads():
+    # Stored rows with leading entries other than 1 over Q, and pivots of
+    # free columns shared by several rows, exercise the lcm scaling.
+    rng = random.Random(11)
+    for field in (Q, GF(3), GF(5)):
+        for _ in range(40):
+            rows = rng.randrange(1, 5)
+            cols = rng.randrange(1, 7)
+            m = Matrix.from_rows(
+                field, [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
+            )
+            ns = nullspace(m)
+            for v in ns.vectors:
+                assert not any(m.matvec(v))
+            assert ns.dim == cols - len(rref(m)[1])
+
+
 def test_nullspace_dim_matches_enumeration_gf2_random():
     rng = random.Random(2024)
     for _ in range(30):

@@ -303,6 +303,19 @@ def test_json_order_limit_is_checked_before_validation():
         from_json_dict({"table": [[0]] * (MAX_ORDER + 1)})
 
 
+@pytest.mark.parametrize("data", [
+    {"table": []}, {"n": 0, "table": []},
+    {"n": 1.0, "table": [[0]]}, {"n": True, "table": [[0]]}, {"n": "1", "table": [[0]]},
+], ids=["empty", "empty-n-zero", "n-float", "n-bool", "n-text"])
+def test_json_rejects_empty_table_and_non_integer_order(data):
+    with pytest.raises(ValueError):
+        from_json_dict(data)
+
+
+def test_json_accepts_order_one():
+    assert from_json_dict({"n": 1, "table": [[0]]}) == trivial(1)
+
+
 def test_medial_for_conjugation_of_abelian_groups():
     # Conjugation on an abelian group collapses to the trivial quandle,
     # which is medial.
