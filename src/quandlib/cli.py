@@ -20,7 +20,6 @@ import json
 import os
 import sys
 
-from .fields import FieldSpec
 from .quandles import (
     AxiomViolation,
     NotAGroupError,
@@ -29,11 +28,10 @@ from .quandles import (
     parse_quandle_spec,
     props,
 )
-from .algebra import augmentation_ideal, jx_ideal
-from .derivations import derivation_space, dihedral_symmetry_report
-from .lietransform import _inner_split, inner_derivations, lie_transformation_algebra
-from . import tables as table_mod
-from .linalg import span_sum
+
+# Only the quandle layer is loaded with this module: each command imports the
+# modules it computes with on its first line, so ``validate`` never compiles
+# the solver and ``derivations`` never compiles the operator closure.
 
 # Largest ``--file`` accepted, read before any JSON is parsed.
 MAX_FILE_BYTES = 1 << 20
@@ -92,11 +90,13 @@ def _cmd_props(q: Quandle, f: FieldSpec | None) -> dict:
 
 
 def _cmd_derivations(q: Quandle, f: FieldSpec) -> dict:
+    from .derivations import derivation_space
     der = derivation_space(q, f)
     return {"dim": der.dim, "basis": [_rows_json(f, m.to_lists()) for m in der.basis]}
 
 
 def _cmd_symmetries(q: Quandle, f: FieldSpec) -> dict:
+    from .derivations import derivation_space, dihedral_symmetry_report
     der = derivation_space(q, f)
     elements = []
     for i, m in enumerate(der.basis):
@@ -117,6 +117,7 @@ def _cmd_symmetries(q: Quandle, f: FieldSpec) -> dict:
 
 
 def _cmd_lietransform(q: Quandle, f: FieldSpec) -> dict:
+    from .lietransform import _inner_split, lie_transformation_algebra
     transf = lie_transformation_algebra(q, f)
     inner = _inner_split(q, f, transf)
     payload = {
@@ -131,6 +132,7 @@ def _cmd_lietransform(q: Quandle, f: FieldSpec) -> dict:
 
 
 def _cmd_inner(q: Quandle, f: FieldSpec) -> dict:
+    from .lietransform import inner_derivations
     inner = inner_derivations(q, f)
     return {
         "derivation_dim": inner.derivation_dim,
@@ -142,6 +144,8 @@ def _cmd_inner(q: Quandle, f: FieldSpec) -> dict:
 
 
 def _cmd_ideals(q: Quandle, f: FieldSpec) -> dict:
+    from .algebra import augmentation_ideal, jx_ideal
+    from .linalg import span_sum
     aug = augmentation_ideal(q, f)
     jx = jx_ideal(q, f)
     return {
@@ -175,6 +179,7 @@ def _run(args) -> int:
     header = {"quandle": args.quandle if args.file is None else args.file}
     f = None
     if with_field:
+        from .fields import FieldSpec
         f = FieldSpec.from_name(args.field)
         header["field"] = f.name
     _emit({**header, **command(q, f)})
@@ -182,7 +187,8 @@ def _run(args) -> int:
 
 
 def _run_tables() -> int:
-    results = table_mod.run_all()
+    from .tables import run_all
+    results = run_all()
     verbose = _verbose()
     failures = 0
     for r in results:
@@ -240,7 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("not_a_group", str(exc), witness=list(exc.witness))
     except OSError as exc:
         return _fail("file_error", str(exc))
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except KeyError as exc:  # str() would quote the message
+        return _fail("value_error", str(exc.args[0]) if exc.args else "")
+    except (ValueError, ZeroDivisionError) as exc:
         return _fail("value_error", str(exc))
 
 

@@ -21,6 +21,8 @@ MAX_ORDER = 64
 
 
 def _check_order(n: int) -> int:
+    if n < 1:
+        raise ValueError("order must be positive")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit MAX_ORDER = {MAX_ORDER}")
     return n
@@ -156,20 +158,20 @@ def validate(table: TableLike, label: str | None = None,
 def from_json_dict(data: dict, label: str | None = None) -> Quandle:
     """Build a quandle from ``{"n": int, "table": [[int]]}`` as read from JSON.
 
-    A top level that is not an object, a table that is not a list, or a row
-    that is not a list raises ValueError, so that a malformed file never
-    surfaces as a TypeError; so does an empty table or one of more than
-    ``MAX_ORDER`` rows, before anything is allocated for it, and a declared
-    ``n`` that is not an integer.
+    A top level that is not an object, a missing table, a table that is not
+    a list, or a row that is not a list raises ValueError, so that a
+    malformed file never surfaces as a KeyError or TypeError; so does an
+    empty table or one of more than ``MAX_ORDER`` rows, before anything is
+    allocated for it, and a declared ``n`` that is not an integer.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a quandle must be a JSON object, got {type(data).__name__}")
+    if "table" not in data:
+        raise ValueError('a quandle needs a "table" entry')
     table = data["table"]
     if not isinstance(table, list):
         raise ValueError(f"table must be a list of rows, got {type(table).__name__}")
     _check_order(len(table))
-    if not table:
-        raise ValueError("order must be positive")
     n = data.get("n", len(table))
     if n != len(table):
         raise ValueError("declared order does not match table size")
@@ -371,7 +373,8 @@ def parse_quandle_spec(spec: str) -> Quandle:
 
     Accepted forms: ``trivial:N``, ``dihedral:N``, ``alexander:N,ALPHA``,
     ``conjugation:s3``, ``conjugation:zN`` and ``catalog:LABEL``.  An order
-    N above ``MAX_ORDER`` raises ValueError before the table is built.
+    N below 1 or above ``MAX_ORDER`` raises ValueError before the table is
+    built, and so does ``alexander:N`` without ALPHA.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
@@ -384,6 +387,8 @@ def parse_quandle_spec(spec: str) -> Quandle:
         return dihedral(_check_order(int(arg)))
     if kind == "alexander":
         n_text, _, alpha_text = arg.partition(",")
+        if not alpha_text.strip():
+            raise ValueError(f"malformed quandle spec {spec!r}")
         return alexander(_check_order(int(n_text)), int(alpha_text))
     if kind == "conjugation":
         name = arg.lower()

@@ -170,6 +170,20 @@ def test_order_above_limit_reports_value_error(capsys):
     assert "MAX_ORDER" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("conjugation:z0", "order must be positive"),
+    ("conjugation:z-3", "order must be positive"),
+    ("trivial:0", "order must be positive"),
+    ("dihedral:-2", "order must be positive"),
+    ("catalog:9.9", "no catalog quandle labeled '9.9'"),
+    ("alexander:5", "malformed quandle spec 'alexander:5'"),
+])
+def test_bad_spec_error_message(capsys, spec, message):
+    code, data = run_json(capsys, "props", "--quandle", spec)
+    assert code == 1
+    assert data["error"] == {"kind": "value_error", "message": message}
+
+
 def _padded_file(tmp_path, size):
     # a valid order-3 table followed by whitespace up to ``size`` bytes
     text = json.dumps({"n": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]})
@@ -190,8 +204,10 @@ def test_file_above_size_limit_reports_value_error(tmp_path, capsys):
     assert "MAX_FILE_BYTES" in data["error"]["message"]
 
 
-@pytest.mark.parametrize("text", ["[]", '{"table": 5}', '{"table": [[0, 1], 5]}', '{"table": []}'],
-                         ids=["top-level-list", "table-not-list", "row-not-list", "empty-table"])
+@pytest.mark.parametrize("text", ["[]", '{"table": 5}', '{"table": [[0, 1], 5]}', '{"table": []}',
+                                  '{"n": 3}'],
+                         ids=["top-level-list", "table-not-list", "row-not-list", "empty-table",
+                              "no-table"])
 def test_malformed_json_shapes_report_value_error(tmp_path, capsys, text):
     # Each shape gets the JSON error object and exit code 1, not a traceback.
     path = tmp_path / "q.json"
@@ -222,7 +238,7 @@ def test_deeply_nested_json_reports_value_error(tmp_path, capsys):
 
 
 def test_lietransform_computes_the_algebra_once(capsys, monkeypatch):
-    import quandlib.cli as cli
+    # The command looks the closure up in quandlib.lietransform when it runs.
     import quandlib.lietransform as lt
     calls = []
     original = lt.lie_transformation_algebra
@@ -231,7 +247,6 @@ def test_lietransform_computes_the_algebra_once(capsys, monkeypatch):
         calls.append(q.n)
         return original(q, f)
 
-    monkeypatch.setattr(cli, "lie_transformation_algebra", counted)
     monkeypatch.setattr(lt, "lie_transformation_algebra", counted)
     code, _ = run_json(capsys, "lietransform", "--quandle", "dihedral:4", "--field", "Q")
     assert code == 0 and calls == [4]
