@@ -140,10 +140,14 @@ class FieldSpec:
         if text in ("Q", "QQ", "rationals"):
             return RATIONALS
         if text.upper().startswith("GF(") and text.endswith(")"):
-            return FieldSpec(int(text[3:-1]))
-        if text.isdigit():
-            return FieldSpec(int(text))
-        raise ValueError(f"unknown field name: {name!r}")
+            text = text[3:-1]
+        elif not text.isdigit():
+            raise ValueError(f"unknown field name: {name!r}")
+        try:
+            p = int(text)
+        except ValueError:
+            raise ValueError(f"unknown field name: {name!r}") from None
+        return FieldSpec(p)
 
 
 RATIONALS = FieldSpec()

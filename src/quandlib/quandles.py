@@ -368,6 +368,14 @@ def catalog_lookup(label: str) -> Quandle:
     raise KeyError(f"no catalog quandle labeled {label!r}")
 
 
+def _spec_int(text: str, spec: str) -> int:
+    """``int(text)``, reporting a non-integer as a malformed ``spec``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"malformed quandle spec {spec!r}") from None
+
+
 def parse_quandle_spec(spec: str) -> Quandle:
     """Build a quandle from a compact text spec.
 
@@ -382,20 +390,20 @@ def parse_quandle_spec(spec: str) -> Quandle:
     if not arg:
         raise ValueError(f"malformed quandle spec {spec!r}")
     if kind == "trivial":
-        return trivial(_check_order(int(arg)))
+        return trivial(_check_order(_spec_int(arg, spec)))
     if kind == "dihedral":
-        return dihedral(_check_order(int(arg)))
+        return dihedral(_check_order(_spec_int(arg, spec)))
     if kind == "alexander":
         n_text, _, alpha_text = arg.partition(",")
         if not alpha_text.strip():
             raise ValueError(f"malformed quandle spec {spec!r}")
-        return alexander(_check_order(int(n_text)), int(alpha_text))
+        return alexander(_check_order(_spec_int(n_text, spec)), _spec_int(alpha_text, spec))
     if kind == "conjugation":
         name = arg.lower()
         if name == "s3":
             return conjugation(S3_TABLE)
         if name.startswith("z"):
-            return conjugation(cyclic_group_table(_check_order(int(name[1:]))))
+            return conjugation(cyclic_group_table(_check_order(_spec_int(name[1:], spec))))
         raise ValueError(f"unknown group name {arg!r} (use s3 or zN)")
     if kind == "catalog":
         return catalog_lookup(arg)

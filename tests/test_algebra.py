@@ -1,9 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 
 from quandlib.fields import GF, RATIONALS
-from quandlib.linalg import Matrix, contains, span_sum
+from quandlib.linalg import Matrix, contains, span_from_vectors, span_sum
 from quandlib.algebra import (
     augmentation,
     augmentation_ideal,
@@ -15,7 +16,16 @@ from quandlib.algebra import (
     right_mult,
     zero_element,
 )
-from quandlib.quandles import catalog, dihedral, props, trivial
+from quandlib.quandles import (
+    S3_TABLE,
+    alexander,
+    catalog,
+    conjugation,
+    cyclic_group_table,
+    dihedral,
+    props,
+    trivial,
+)
 
 Q = RATIONALS
 
@@ -177,6 +187,16 @@ def test_jx_contained_in_augmentation_ideal():
             assert span_sum(jx, ideal) == ideal  # jx ⊆ ideal
 
 
+def _jx_inputs():
+    alexanders = [alexander(n, a) for n in range(1, 10) for a in range(n) if gcd(a, n) == 1]
+    groups = [cyclic_group_table(4), cyclic_group_table(6), S3_TABLE]
+    return (catalog(3) + catalog(4) + [dihedral(n) for n in range(3, 13)] + alexanders
+            + [conjugation(g) for g in groups] + [trivial(4)])
+
+
+JX_FIELDS = (Q, GF(2), GF(3))
+
+
 def _right_product(vec, z, q, f):
     out = [f.zero()] * q.n
     for x, v in enumerate(vec):
@@ -186,8 +206,8 @@ def _right_product(vec, z, q, f):
 
 
 def test_jx_right_ideal_closure():
-    for q in catalog(3) + catalog(4):
-        for f in (Q, GF(3)):
+    for q in _jx_inputs():
+        for f in JX_FIELDS:
             jx = jx_ideal(q, f)
             for vec in jx.vectors:
                 for z in range(q.n):
@@ -203,13 +223,27 @@ def _left_product(vec, z, q, f):
 
 
 def test_jx_left_closure_when_medial():
-    medial_quandles = [q for q in catalog(3) + catalog(4) if props(q).medial]
+    medial_quandles = [q for q in _jx_inputs() if props(q).medial]
     assert medial_quandles
     for q in medial_quandles:
-        jx = jx_ideal(q, Q)
-        for vec in jx.vectors:
-            for z in range(q.n):
-                assert contains(jx, _left_product(vec, z, q, Q))
+        for f in JX_FIELDS:
+            jx = jx_ideal(q, f)
+            for vec in jx.vectors:
+                for z in range(q.n):
+                    assert contains(jx, _left_product(vec, z, q, f))
+
+
+def test_jx_is_span_of_generators():
+    for q in _jx_inputs():
+        for f in JX_FIELDS:
+            gens = []
+            for x in range(q.n):
+                for y in range(q.n):
+                    vec = [f.zero()] * q.n
+                    vec[q.table[x][y]] = f.add(vec[q.table[x][y]], f.one())
+                    vec[q.table[y][x]] = f.sub(vec[q.table[y][x]], f.one())
+                    gens.append(vec)
+            assert jx_ideal(q, f) == span_from_vectors(f, q.n, gens)
 
 
 def test_element_arithmetic():

@@ -177,6 +177,12 @@ def test_order_above_limit_reports_value_error(capsys):
     ("dihedral:-2", "order must be positive"),
     ("catalog:9.9", "no catalog quandle labeled '9.9'"),
     ("alexander:5", "malformed quandle spec 'alexander:5'"),
+    ("dihedral:x", "malformed quandle spec 'dihedral:x'"),
+    ("dihedral:5.0", "malformed quandle spec 'dihedral:5.0'"),
+    ("alexander:,2", "malformed quandle spec 'alexander:,2'"),
+    ("alexander:5,x", "malformed quandle spec 'alexander:5,x'"),
+    ("conjugation:z", "malformed quandle spec 'conjugation:z'"),
+    ("conjugation:zx", "malformed quandle spec 'conjugation:zx'"),
 ])
 def test_bad_spec_error_message(capsys, spec, message):
     code, data = run_json(capsys, "props", "--quandle", spec)
@@ -293,6 +299,12 @@ PINNED = [
     ("inner --file q.json --field GF(3)", 0, "cee4da5aaba507085bcd9958209497873f56d54c3538c426ccec152cd5dcc946"),
     ("ideals --file q.json --field Q", 0, "98ef4bbed31ccfbd134fb00b8badc1860a1e8c96db1afdbbaa6cab783bedd36f"),
     ("ideals --file q.json --field GF(3)", 0, "1b4741ed2b2157a47834f3fa0842813fc096abe1a90e069585479eea4daa852a"),
+    ("ideals --quandle alexander:7,3 --field Q", 0, "7b2725beb4fbefa14cae655766e4d3838d4ff44fcdd016411c90310590f48319"),
+    ("ideals --quandle alexander:7,3 --field GF(2)", 0, "647b6e8b9ff4d4698c36290ecdaa1307f598bc7164e4a3b603d1f02b83dafd3b"),
+    ("ideals --quandle conjugation:s3 --field Q", 0, "3024b81e943eeeec166f97cbb321f4bd50636b01cbf58ed1888536fa49dfbb81"),
+    ("ideals --quandle conjugation:s3 --field GF(2)", 0, "1e2b2e0c978a99bfab83373a44740a96a02d4516f0ea0b4e5633affbc676718e"),
+    ("ideals --quandle dihedral:12 --field Q", 0, "f1a18ef51a3061e16a7ea70f0c8217464c3d952e3e2f7d300588fe4975f902fb"),
+    ("ideals --quandle dihedral:12 --field GF(2)", 0, "26a74e07c26b73fb9f9f29a313ad3ab0c053011912e799c59aac0523928707af"),
     ("derivations --quandle dihedral:6 --file q.json", 2, "a14c7b9ff0732ae15f217baf9ce623f428fc54b7222286ad1776459e10114120"),
     ("tables", 1, "a2cdefd2d41b8e3c05beb4f4ba69c9fc16f8194b3f9576a32d0ec8281ad17552"),
 ]

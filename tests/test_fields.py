@@ -26,6 +26,10 @@ def test_field_name_parsing():
     assert FieldSpec.from_name("7") == GF(7)
     with pytest.raises(ValueError):
         FieldSpec.from_name("R")
+    for name in ("GF(x)", "GF()"):
+        with pytest.raises(ValueError) as exc:
+            FieldSpec.from_name(name)
+        assert str(exc.value) == f"unknown field name: {name!r}"
 
 
 def test_rational_scalars_stay_reduced():

@@ -298,6 +298,15 @@ def test_spec_at_order_limit_is_accepted():
     assert parse_quandle_spec(f"trivial:{MAX_ORDER}") == trivial(MAX_ORDER)
 
 
+def test_spec_integers_read_as_int_does():
+    # Signs, padding and digit separators stay accepted; only text that
+    # int() refuses becomes a malformed spec.
+    assert parse_quandle_spec("dihedral:+5") == dihedral(5)
+    assert parse_quandle_spec("trivial:1_0") == trivial(10)
+    assert parse_quandle_spec("alexander: 7 , -4") == alexander(7, 3)
+    assert parse_quandle_spec("conjugation:z+4") == parse_quandle_spec("conjugation:z4")
+
+
 def test_json_order_limit_is_checked_before_validation():
     with pytest.raises(ValueError, match=f"MAX_ORDER = {MAX_ORDER}"):
         from_json_dict({"table": [[0]] * (MAX_ORDER + 1)})
