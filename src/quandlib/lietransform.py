@@ -7,14 +7,17 @@ right multiplication.  A derivation lying inside it is an inner derivation.
 Every seed operator (id, L_x, R_x) is a functional map e_y ↦ e_φ(y), and so
 is every product of seeds.  Nothing here multiplies matrices:
 
-- the closure is a tower of brackets [φ, M] of a seed with an operator,
-  each a sparse scatter and gather on integer rows that go straight into
-  the echelon kernel, which reduces them mod p over GF(p); see
+- the closure brackets each kept operator M with a small generating set
+  of seeds φ, which grows only by a seed outside the span; each [φ, M] is
+  a sparse scatter and gather on integer rows that go straight into the
+  echelon kernel, which reduces them mod p over GF(p); see
   ``lie_transformation_algebra``;
 - product spans are products of word closures: the kept words spanning
   every product of some generators (``_word_closure``), multiplied factor
-  by factor (``_product_span``); words are image tuples and a product is
-  composition.  See ``lr_form_bound`` and ``alexander_canonical_form``.
+  by factor (``_product_span``); words are image tuples, a product is
+  composition, and a word seen before is not inserted again.  Membership
+  in a product span is tested against its echelon (``_outside``).  See
+  ``lr_form_bound`` and ``alexander_canonical_form``.
 
 Operators are flattened column-major into n²-dimensional coordinate space:
 coordinate x·n + u holds the coefficient of e_u in the image of e_x.  The
@@ -24,7 +27,9 @@ convention.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec, Scalar
@@ -82,9 +87,19 @@ def _seed_words(q: Quandle) -> list[tuple[str, Word]]:
     return seeds
 
 
-def _keep_independent(ech: _Echelon, words: Iterable[Word]) -> list[Word]:
-    """The words whose indicator rows grew the span of ``ech``, in order."""
-    return [w for w in words if ech.insert(_word_row(w))]
+def _keep_independent(ech: _Echelon, words: Iterable[Word], seen: set[Word]) -> list[Word]:
+    """The words whose indicator rows grew the span of ``ech``, in order.
+
+    A word already in ``seen`` is skipped, since its row was inserted
+    before; every word tried joins ``seen``.
+    """
+    kept = []
+    for w in words:
+        if w not in seen:
+            seen.add(w)
+            if ech.insert(_word_row(w)):
+                kept.append(w)
+    return kept
 
 
 def _bracket(phi: Word, preimages: Sequence[Sequence[int]], row: dict[int, int]) -> dict[int, int]:
@@ -115,72 +130,87 @@ class OperatorSpace:
     """A commutator-closed operator subspace with its generation history.
 
     ``generator_log`` names, in insertion order, the elements that grew the
-    span: the seeds first ("id", "L0", "R2", ...), then the right-normed
-    brackets of seeds, stage by stage ("[L0,R1]", "[R2,[L0,R1]]", ...).  It
-    is diagnostic only; the canonical basis is ``matrices``.
+    span: each seed that joined the generating set ("id", "L0", "R2", ...)
+    and each right-normed bracket of a generator with an element kept
+    before it ("[L1,L0]", "[L0,[L1,L0]]", ...).  It is diagnostic only; the
+    canonical basis is ``subspace``, and ``matrices`` holds the same basis as
+    ``Matrix`` objects, built on first access.
     """
 
     field: FieldSpec
     n: int
     subspace: SubspaceBasis
-    matrices: tuple[Matrix, ...]
     generator_log: tuple[str, ...]
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
+    @cached_property
+    def matrices(self) -> tuple[Matrix, ...]:
+        return tuple(operator_from_flat(self.field, self.n, v) for v in self.subspace.vectors)
+
     def contains_operator(self, m: Matrix) -> bool:
         return contains(self.subspace, flatten_operator(m))
 
 
 def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
-    """The Lie algebra generated by S = {id} ∪ {L_x} ∪ {R_x} acting on k[X].
+    """The Lie algebra g generated by S = {id} ∪ {L_x} ∪ {R_x} acting on k[X].
 
-    Built as a tower.  Stage 1 holds the seeds that grow the span; stage
-    k+1 holds the brackets [s, t] of each stage-1 seed s with each stage-k
-    element t that grew the span.  The loop ends when a stage adds nothing.
+    Closed over a generating set S′ ⊆ S that grows as needed.  The seeds are
+    inserted in the order id, L_0, R_0, then the rest of ``_seed_words``; a
+    seed that grows the span joins S′.  Every element that grew the span is
+    kept and bracketed once with every generator: a new generator with each
+    element kept before it, a new bracket with each generator in S′.  A
+    bracket that grows the span is kept in turn.  The next seed is inserted
+    only when no bracket is left to try.  The identity is central, so it is
+    kept but never bracketed.
 
-    Why this is the whole algebra g generated by S: write V_k for the span
-    after stage k and B_k for the elements stage k kept.  Every bracket
-    stage k+1 drops already lies in the span, so V_{k+1} = V_k + [S, B_k],
-    and by induction V_{k+1} = V_k + [S, V_k] (the brackets with V_{k-1}
-    lie in V_k already).  Brackets with a dropped seed are combinations of
-    brackets with the kept ones.  When stage k+1 adds nothing, [s, V_k] ⊆
-    V_k for every seed s.  The elements a of g with [a, V_k] ⊆ V_k form a
-    Lie subalgebra (Jacobi: [[a,b],v] = [a,[b,v]] − [b,[a,v]]) that
-    contains S, hence all of g ⊇ V_k; so V_k is a Lie subalgebra containing
-    S, and V_k = g.  (Right-normed brackets of generators span the free Lie
-    algebra; Reutenauer, *Free Lie Algebras*, 1993.)
+    Why the span V at the end is all of g: V is spanned by the kept
+    elements, since a dropped row lies in the span already.  Each kept
+    element is a generator or a bracket of a generator with a kept element,
+    so V ⊆ Lie(S′).  Each kept element has been bracketed with each
+    generator but id, whose brackets vanish, so [s, V] ⊆ V for every
+    s ∈ S′.  The elements a of gl(k[X]) with [a, V] ⊆ V form a Lie
+    subalgebra (Jacobi: [[a,b],v] = [a,[b,v]] − [b,[a,v]]) that contains
+    S′, hence all of Lie(S′) ⊇ V; so V is a Lie subalgebra containing S′,
+    and V = Lie(S′).  Every seed was inserted, so S ⊆ V, and
+    g = Lie(S) ⊆ V = Lie(S′) ⊆ Lie(S) = g.  (Right-normed brackets of
+    generators span the free Lie algebra; Reutenauer, *Free Lie Algebras*,
+    1993.)
 
     Each seed is a functional map, so a bracket costs O(nnz) sparse integer
     updates (``_bracket``) instead of two dense matrix products.
     """
     n = q.n
     ech = _Echelon(f, n * n)
+    seeds = _seed_words(q)
+    seeds.insert(2, seeds.pop(n + 1))  # id, L_0, R_0, then the rest in order
     gens: list[tuple[str, Word, list[list[int]]]] = []
-    stage: list[tuple[str, dict[int, int]]] = []
-    for name, w in _seed_words(q):
+    kept: list[tuple[str, dict[int, int]]] = []
+    # Brackets left to try, as (index into gens, index into kept).
+    work: deque[tuple[int, int]] = deque()
+    for name, w in seeds:
         row = _word_row(w)
-        if ech.insert(row):
+        if not ech.insert(row):
+            continue
+        if name != "id":
             preimages: list[list[int]] = [[] for _ in range(n)]
             for z, y in enumerate(w):
                 preimages[y].append(z)
+            work.extend((len(gens), t) for t in range(1, len(kept)))  # kept[0] is id
             gens.append((name, w, preimages))
-            stage.append((name, row))
-    log = [name for name, _ in stage]
-    while stage:
-        next_stage = []
-        for s_name, phi, preimages in gens:
-            for t_name, t_row in stage:
-                bracket = _bracket(phi, preimages, t_row)
-                if bracket and ech.insert(bracket):
-                    next_stage.append((f"[{s_name},{t_name}]", bracket))
-        log += [name for name, _ in next_stage]
-        stage = next_stage
-    basis = ech.basis()
-    mats = tuple(operator_from_flat(f, n, vec) for vec in basis.vectors)
-    return OperatorSpace(field=f, n=n, subspace=basis, matrices=mats, generator_log=tuple(log))
+        kept.append((name, row))
+        while work:
+            g, t = work.popleft()
+            s_name, phi, preimages = gens[g]
+            t_name, t_row = kept[t]
+            bracket = _bracket(phi, preimages, t_row)
+            if bracket and ech.insert(bracket):
+                work.extend((i, len(kept)) for i in range(len(gens)))
+                kept.append((f"[{s_name},{t_name}]", bracket))
+    return OperatorSpace(field=f, n=n, subspace=ech.basis(),
+                         generator_log=tuple(name for name, _ in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +276,17 @@ def _word_closure(f: FieldSpec, n: int, gens: Sequence[Word]) -> list[Word]:
     left, so the span is closed under left multiplication by ``gens``.
     """
     ech = _Echelon(f, n * n)
-    frontier = _keep_independent(ech, [tuple(range(n))])
+    seen: set[Word] = set()
+    frontier = _keep_independent(ech, [tuple(range(n))], seen)
     kept = list(frontier)
     while frontier:
-        frontier = _keep_independent(ech, (_compose(g, w) for w in frontier for g in gens))
+        frontier = _keep_independent(ech, (_compose(g, w) for w in frontier for g in gens), seen)
         kept += frontier
     return kept
 
 
-def _product_span(f: FieldSpec, n: int, *factors: Sequence[Word]) -> SubspaceBasis:
-    """The canonical span of every product a·b·… with one word from each factor.
+def _product_span(f: FieldSpec, n: int, *factors: Sequence[Word]) -> _Echelon:
+    """The echelon spanning every product a·b·… with one word from each factor.
 
     Folded from the right, keeping only independent words after each factor:
     span{a·w : a ∈ A, w ∈ W} = A·span(W), so dropped words add nothing.
@@ -263,8 +294,13 @@ def _product_span(f: FieldSpec, n: int, *factors: Sequence[Word]) -> SubspaceBas
     words: list[Word] = [tuple(range(n))]
     for factor in reversed(factors):
         ech = _Echelon(f, n * n)
-        words = _keep_independent(ech, (_compose(a, w) for a in factor for w in words))
-    return ech.basis()
+        words = _keep_independent(ech, (_compose(a, w) for a in factor for w in words), set())
+    return ech
+
+
+def _outside(ech: _Echelon, vectors: Iterable[Sequence[Scalar]]) -> tuple[int, ...]:
+    """The indices of the dense ``vectors`` that lie outside the span of ``ech``."""
+    return tuple(i for i, v in enumerate(vectors) if ech.reduce(ech.integer_row(v)))
 
 
 def lr_form_bound(q: Quandle, f: FieldSpec) -> LrSpan:
@@ -277,9 +313,10 @@ def lr_form_bound(q: Quandle, f: FieldSpec) -> LrSpan:
     n = q.n
     lwords = _word_closure(f, n, [q.table[x] for x in range(n)])
     rwords = _word_closure(f, n, [q.column_perm(x) for x in range(n)])
-    basis = _product_span(f, n, lwords, rwords)
+    ech = _product_span(f, n, lwords, rwords)
+    basis = ech.basis()
     transf = lie_transformation_algebra(q, f)
-    contained = all(contains(basis, v) for v in transf.subspace.vectors)
+    contained = not _outside(ech, transf.subspace.vectors)
     return LrSpan(
         basis=basis,
         lr_dim=basis.dim,
@@ -313,15 +350,13 @@ def alexander_canonical_form(q: Quandle, f: FieldSpec) -> AlexanderFormReport:
         raise ValueError("quandle does not carry affine parameters")
     n = q.n
     heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
-    basis = _product_span(f, n, heads, _word_closure(f, n, [q.table[0]]),
-                          _word_closure(f, n, [q.column_perm(0)]))
+    ech = _product_span(f, n, heads, _word_closure(f, n, [q.table[0]]),
+                        _word_closure(f, n, [q.column_perm(0)]))
     transf = lie_transformation_algebra(q, f)
-    failures = tuple(
-        i for i, v in enumerate(transf.subspace.vectors) if not contains(basis, v)
-    )
+    failures = _outside(ech, transf.subspace.vectors)
     return AlexanderFormReport(
         all_contained=not failures,
         failures=failures,
-        span_dim=basis.dim,
+        span_dim=ech.rank,
         transformation_dim=transf.dim,
     )

@@ -194,16 +194,21 @@ class _Echelon:
         """Insert a dense vector, each nonzero entry coerced into the field
         (floats raise ``TypeError``; text such as ``"0"`` may coerce to zero),
         clearing denominators over Q."""
+        return self.insert(self.integer_row(vec))
+
+    def integer_row(self, vec: Sequence[Scalar | int]) -> dict[int, int]:
+        """The sparse integer row of a dense vector, as ``insert_dense``
+        coerces it: residues over GF(p), denominators cleared over Q."""
         if len(vec) != self.ambient:
             raise ValueError("vector length mismatch")
         coerce = self.field.coerce
         row = {c: x for c, v in enumerate(vec) if v and (x := coerce(v))}
         if self.p is not None:
-            return self.insert(row)
+            return row
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        return self.insert({c: int(v * den) for c, v in row.items()})
+        return {c: int(v * den) for c, v in row.items()}
 
     def _combine(self, row: dict[int, int], cols: Sequence[int]) -> dict[int, int]:
         """scale·row − Σ (scale/lead_c)·row[c]·piv_c over the pivot columns
@@ -225,10 +230,16 @@ class _Echelon:
             return _gcd_normalize({k: v for k, v in new.items() if v})
         return {k: r for k, v in new.items() if (r := v % p)}
 
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """``row`` reduced against the basis without storing it: empty
+        exactly when the row lies in the span."""
+        rows = self.rows
+        return self._combine(row, [c for c in row if c in rows])
+
     def insert(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` against the basis; store it if independent."""
         rows, p = self.rows, self.p
-        row = self._combine(row, [c for c in row if c in rows])
+        row = self.reduce(row)
         if not row:
             return False
         c = min(row)

@@ -1,12 +1,12 @@
 """Dense-matrix oracles for the operator spans of ``quandlib.lietransform``.
 
-The library builds its operator spans from functional maps: a tower of
-sparse integer brackets for the Lie transformation algebra, and words as
-image tuples for the product spans.  The oracles below build the same
-spans the direct way, from ``Matrix`` products over the field:
+The library builds its operator spans from functional maps: sparse
+integer brackets with a small generating set of seeds for the Lie
+transformation algebra, and words as image tuples for the product spans.  The oracles below build the same
+spans the direct way, from matrix products:
 
-- ``pairwise_closure``: full pairwise commutator closure of the canonical
-  basis, round after round, until the dimension is stable;
+- ``pairwise_closure``: commutator closure by integer matrix products,
+  every pair of kept matrices bracketed once;
 - ``lr_span_by_matmul``: canonical left- and right-word layers from matrix
   products, with all products of total length T added until the span is
   unchanged for two consecutive totals;
@@ -25,14 +25,16 @@ from quandlib.fields import GF, RATIONALS
 from quandlib.linalg import Matrix, SubspaceBasis, _Echelon, contains
 from quandlib.algebra import left_mult, right_mult
 from quandlib.lietransform import (
+    _outside,
+    _product_span,
+    _word_closure,
     alexander_canonical_form,
-    commutator,
     flatten_operator,
     lie_transformation_algebra,
     lr_form_bound,
     operator_from_flat,
 )
-from quandlib.quandles import alexander, catalog, dihedral, relabel, trivial
+from quandlib.quandles import alexander, catalog, dihedral, parse_quandle_spec, relabel, trivial
 
 Q = RATIONALS
 FIELDS = (Q, GF(2), GF(3), GF(2147483647))
@@ -42,29 +44,49 @@ def _canonical(f, n, ech):
     return SubspaceBasis(f, n * n, tuple(row for _, row in ech.finalize()))
 
 
-def _seed_operators(q, f):
-    return ([Matrix.identity(f, q.n)] + [left_mult(x, q, f) for x in range(q.n)]
-            + [right_mult(x, q, f) for x in range(q.n)])
+def _functional_matrix(w):
+    """The integer matrix, as a list of rows, of the map e_y ↦ e_{w[y]}."""
+    n = len(w)
+    m = [[0] * n for _ in range(n)]
+    for y, u in enumerate(w):
+        m[u][y] = 1
+    return m
+
+
+def _seed_matrices(q):
+    """id, L_x and R_x as integer matrices."""
+    n = q.n
+    return ([_functional_matrix(range(n))] + [_functional_matrix(q.table[x]) for x in range(n)]
+            + [_functional_matrix(q.column_perm(x)) for x in range(n)])
+
+
+def _int_commutator(a, b):
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    return [[sum(x * y for x, y in zip(ra, cb)) - sum(x * y for x, y in zip(rb, ca))
+             for ca, cb in zip(cols_a, cols_b)] for ra, rb in zip(a, b)]
+
+
+def _column_major_row(m):
+    n = len(m)
+    return {x * n + u: m[u][x] for x in range(n) for u in range(n) if m[u][x]}
 
 
 def pairwise_closure(q, f):
-    """Commutator closure of {id} ∪ {L_x} ∪ {R_x} by full pairwise brackets."""
+    """Commutator closure of {id} ∪ {L_x} ∪ {R_x} by brackets of every pair.
+
+    Each matrix that grows the span is kept and bracketed with every matrix
+    kept before it; the closure ends when no bracket is left.  The matrices
+    are integer, and the echelon reduces them mod p over GF(p).
+    """
     n = q.n
     ech = _Echelon(f, n * n)
-    for mat in _seed_operators(q, f):
-        ech.insert_dense(flatten_operator(mat))
-    basis = _canonical(f, n, ech)
-    while True:
-        mats = [operator_from_flat(f, n, v) for v in basis.vectors]
-        grew = False
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                bracket = commutator(mats[i], mats[j])
-                if not bracket.is_zero and ech.insert_dense(flatten_operator(bracket)):
-                    grew = True
-        if not grew:
-            return basis
-        basis = _canonical(f, n, ech)
+    kept = []
+    todo = _seed_matrices(q)
+    for m in todo:
+        if ech.insert(_column_major_row(m)):
+            todo += [_int_commutator(k, m) for k in kept]
+            kept.append(m)
+    return _canonical(f, n, ech)
 
 
 def _next_matrix_layer(layers, gens, f, n):
@@ -181,3 +203,56 @@ def test_affine_form_matches_matmul_oracle(q, f):
     assert report.transformation_dim == closure.dim
     assert report.failures == tuple(
         i for i, v in enumerate(closure.vectors) if not contains(span, v))
+
+
+# Inputs whose closure needs generators beyond id, L_0 and R_0: over every
+# field below, some later seed grows the span and joins the generating set.
+WIDE_GENERATION = {"dihedral8": _relabeled(dihedral(8), 5), "dihedral10": _relabeled(dihedral(10), 6),
+                   "conjugation-s3": parse_quandle_spec("conjugation:s3"), "trivial4": trivial(4),
+                   "alexander8": alexander(8, 3)}
+
+
+def _later_generators(log):
+    return [name for name in log if not name.startswith("[") and name not in ("id", "L0", "R0")]
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("q", WIDE_GENERATION.values(), ids=WIDE_GENERATION.keys())
+def test_closure_over_a_grown_generating_set_matches_pairwise_oracle(q, f):
+    t = lie_transformation_algebra(q, f)
+    assert _later_generators(t.generator_log)
+    assert t.subspace == pairwise_closure(q, f)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("q", WIDE_GENERATION.values(), ids=WIDE_GENERATION.keys())
+def test_closure_certificate(q, f):
+    """The span holds every seed and is closed under ad(L_x) and ad(R_x)."""
+    n = q.n
+    basis = lie_transformation_algebra(q, f).subspace
+    ech = _Echelon(f, n * n)
+    for v in basis.vectors:
+        ech.insert_dense(v)
+    seeds = _seed_matrices(q)
+    for s in seeds:
+        ech.insert(_column_major_row(s))
+    for v in basis.vectors:
+        row = ech.integer_row(v)
+        m = [[row.get(x * n + u, 0) for x in range(n)] for u in range(n)]
+        for s in seeds[1:]:
+            ech.insert(_column_major_row(_int_commutator(s, m)))
+    assert ech.rank == basis.dim
+
+
+@pytest.mark.parametrize("q, f", AFFINE_CASES)
+def test_kernel_membership_agrees_with_contains(q, f):
+    n = q.n
+    heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
+    ech = _product_span(f, n, heads, _word_closure(f, n, [q.table[0]]),
+                        _word_closure(f, n, [q.column_perm(0)]))
+    basis = ech.basis()
+    units = [tuple(f.one() if k == c else f.zero() for k in range(n * n)) for c in range(n * n)]
+    probes = list(lie_transformation_algebra(q, f).subspace.vectors) + units
+    outside = _outside(ech, probes)
+    assert outside == tuple(i for i, v in enumerate(probes) if not contains(basis, v))
+    assert 0 < len(outside) < len(probes)

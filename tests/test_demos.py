@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "02_quandle_algebra": "d9b5f4bab8f128a5b459afcecbdcd2ef9faef83813fcfb4858c154d7e1e592b4",
     "03_derivation_spaces": "ee7d7efaec735d56a2f4bde8dd6c4d3d657a162b055b9f29c621cbe06059aa84",
     "04_dihedral_symmetries": "2c42f223af880722d59f8a25168e1dfb50356cd2ae778f3e4731eab7e8fc81fc",
-    "05_lie_transformation": "78c537e00566e1271b1527adf5cb7e8bf8016c833c92e61109def865eb410429",
+    "05_lie_transformation": "bdf90ba7c5a095fe448baefdd59936be9e11cb0fa17d06c0250afeedfb30bb26",
     "06_reference_tables": "86bcf0c7d492c13b23f3eaef18164e4adc0623312e21a8f735e03c216b50484b",
 }
 

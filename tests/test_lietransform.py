@@ -129,8 +129,8 @@ def test_transformation_algebra_bracket_closed():
 
 
 def test_tower_closure_agrees_with_full_closure():
-    # Bracketing only against the seed span must give the same algebra as
-    # the full pairwise closure.
+    # Bracketing only with a generating set of seeds must give the same
+    # algebra as the full pairwise closure.
     from quandlib.quandles import catalog
     cases = [(q, Q) for q in catalog(3) + catalog(4)]
     cases += [(dihedral(n), Q) for n in (3, 4, 5, 6)]
