@@ -4,9 +4,11 @@ A derivation is a linear map D with D(a·b) = D(a)·b + a·D(b).  On the basis
 this is one linear condition per triple (x, y, z), giving an n³ × n² system
 whose kernel, reshaped, is the space of derivation matrices.  The unknowns
 are the matrix entries D[u][t] (the coefficient of e_u in D(e_t)), flattened
-row-major: unknown index = u*n + t.  The solver is the ground truth here;
-the dihedral symmetry relations and the closed-form dimension counts are
-checked against it, never used to shortcut it.
+row-major: unknown index = u*n + t.  The solver makes one pass over the
+rows: those that only equate two unknowns merge them into classes, and the
+rest are solved over the classes (see ``derivation_space``).  The solver is
+the ground truth here; the dihedral symmetry relations and the closed-form
+dimension counts are checked against it, never used to shortcut it.
 """
 
 from __future__ import annotations
@@ -107,19 +109,64 @@ def flatten_matrix(m: Matrix) -> tuple[Scalar, ...]:
 
 
 def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
-    n = q.n
-    ech = _Echelon(f, n * n)
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    """Canonical basis of the kernel of the Leibniz system over ``f``.
+
+    One pass over the rows splits them.  An equality row, with exactly two
+    entries +1 and -1 on the integer row, says D_a = D_b over Q and over
+    every GF(p), since ±1 is a unit in each; it merges a and b in a
+    union-find over the n² unknowns.  Every other non-empty row is kept.
+    The kernel of the full system is the set of vectors that are constant on
+    each class and satisfy the kept rows; on such a vector a kept row reads
+    as its rewrite onto classes, with the coefficients of each class added
+    up.  So the kernel is the lift a ↦ v[class(a)] of the kernel of the
+    rewritten rows over the m classes, and the lift is injective.  Classes
+    are numbered by their least member in increasing order, so the lift
+    keeps pivot order, pivot entries and the zeros beside each pivot: the
+    lifted RREF basis is the canonical RREF of the full kernel.
+    """
+    size = q.n * q.n
+    parent = list(range(size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    kept: list[dict[int, int]] = []
     for row in _leibniz_sparse_rows(q):
-        if not row:
-            continue
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
+        if len(row) == 2:
+            (a, u), (b, v) = row.items()
+            if u * v == -1:
+                a, b = find(a), find(b)
+                parent[max(a, b)] = min(a, b)
+                continue
+        if row:
+            kept.append(row)
+    # Each root is the least member of its class, so it is numbered first.
+    cls = [0] * size
+    m = 0
+    for a in range(size):
+        root = find(a)
+        if root == a:
+            cls[a] = m
+            m += 1
+        else:
+            cls[a] = cls[root]
+    ech = _Echelon(f, m)
+    for row in kept:
+        if m < size:
+            merged: dict[int, int] = {}
+            for k, v in row.items():
+                c = cls[k]
+                merged[c] = merged.get(c, 0) + v
+            row = {c: v for c, v in merged.items() if v}
         ech.insert(row)
-    kernel = _nullspace_from_echelon(f, n * n, ech)
-    mats = tuple(matrix_from_flat(f, n, vec) for vec in kernel.vectors)
+    kernel = _nullspace_from_echelon(f, m, ech)
+    if m < size:
+        kernel = SubspaceBasis(f, size, tuple(tuple(map(vec.__getitem__, cls))
+                                              for vec in kernel.vectors))
+    mats = tuple(matrix_from_flat(f, q.n, vec) for vec in kernel.vectors)
     return DerivationBasis(quandle=q, field=f, subspace=kernel, basis=mats)
 
 

@@ -292,9 +292,13 @@ def props(q: Quandle) -> QuandleProps:
     n, t = q.n, q.table
     involutive = all(t[t[x][y]][y] == x for x in range(n) for y in range(n))
     latin = all(sorted(t[x]) == list(range(n)) for x in range(n))
+    # Medial: (w⊳x)⊳(y⊳z) = (w⊳y)⊳(x⊳z) for all w, x, y, z.  With comp[a][b]
+    # the row z ↦ a⊳(b⊳z), that is comp[w⊳x][y] == comp[w⊳y][x], and the
+    # two sides swap with x and y.
+    comp = [[tuple(map(t[a].__getitem__, t[b])) for b in range(n)] for a in range(n)]
     medial = all(
-        t[t[w][x]][t[y][z]] == t[t[w][y]][t[x][z]]
-        for w in range(n) for x in range(n) for y in range(n) for z in range(n)
+        comp[t[w][x]][y] == comp[t[w][y]][x]
+        for w in range(n) for x in range(n) for y in range(x + 1, n)
     )
     # Orbits of the inner automorphism group: close each point under all
     # column permutations (generators have finite order, so no inverses needed).

@@ -305,6 +305,9 @@ PINNED = [
     ("ideals --quandle conjugation:s3 --field GF(2)", 0, "1e2b2e0c978a99bfab83373a44740a96a02d4516f0ea0b4e5633affbc676718e"),
     ("ideals --quandle dihedral:12 --field Q", 0, "f1a18ef51a3061e16a7ea70f0c8217464c3d952e3e2f7d300588fe4975f902fb"),
     ("ideals --quandle dihedral:12 --field GF(2)", 0, "26a74e07c26b73fb9f9f29a313ad3ab0c053011912e799c59aac0523928707af"),
+    ("derivations --quandle dihedral:24 --field Q", 0, "610a3a22c2328dcee91f9e4d5f705cc51ef57459fed7e8291e3c28d928da197d"),
+    ("derivations --quandle dihedral:16 --field GF(3)", 0, "18877c6a4e079b351ffc4b26d8080ec25d092e228072670e87c3d1692073da6c"),
+    ("symmetries --quandle dihedral:20 --field Q", 0, "e9c5708612ef43156721ae64d415d3ec9185087051884bcbae25798c64a47639"),
     ("derivations --quandle dihedral:6 --file q.json", 2, "a14c7b9ff0732ae15f217baf9ce623f428fc54b7222286ad1776459e10114120"),
     ("tables", 1, "a2cdefd2d41b8e3c05beb4f4ba69c9fc16f8194b3f9576a32d0ec8281ad17552"),
 ]

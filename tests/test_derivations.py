@@ -104,13 +104,23 @@ def test_trivial3_dim_char0():
 
 
 def test_dense_and_sparse_solver_paths_agree():
-    # derivation_space streams deduplicated sparse rows; nullspace of the
-    # materialized dense system is an independent route to the same kernel.
+    # derivation_space merges the unknowns that equality rows identify and
+    # solves the other rows over the classes; nullspace of the materialized
+    # dense system is an independent route to the same kernel.  Relabeled even
+    # dihedral inputs merge classes; trivial(5) and conjugation:z6 merge none
+    # but repeat each non-empty row n times.
     from quandlib.linalg import nullspace
+    from quandlib.quandles import relabel
     cases = [(q, f) for q in catalog(3) for f in (Q, GF(2), GF(3))]
     cases += [(q, Q) for q in catalog(4)]
     cases += [(dihedral(n), Q) for n in (4, 5, 6)]
     cases += [(dihedral(4), GF(2)), (conjugation(S3_TABLE), GF(3))]
+    rng = random.Random(24)
+    for n in (8, 10):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases += [(relabel(dihedral(n), perm), f) for f in (Q, GF(2), GF(3), GF(2**31 - 1))]
+    cases += [(trivial(5), Q), (conjugation(cyclic_group_table(6)), Q)]
     for q, f in cases:
         assert nullspace(leibniz_system(q, f)) == derivation_space(q, f).subspace
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
-from quandlib.fields import GF, RATIONALS, FieldSpec
+from quandlib.fields import _PRIME_BOUND, GF, RATIONALS, FieldSpec, _is_prime
 
 
 def test_characteristics():
@@ -18,6 +19,26 @@ def test_prime_validation():
     for bad in (0, 1, 4, 6, 9, 1001, 2**31):
         with pytest.raises(ValueError):
             GF(bad)
+
+
+def _by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert all(_is_prime(k) == _by_trial_division(k) for k in range(200_000))
+
+
+def test_primality_on_strong_pseudoprimes_and_large_moduli():
+    # 2047, 1373653 and 25326001 are the least strong pseudoprimes to the
+    # bases {2}, {2, 3} and {2, 3, 5}.
+    for k in (2047, 1373653, 25326001):
+        assert not _by_trial_division(k) and not _is_prime(k)
+    for p in (2147483647, 2147483629, 2147483587, 2147483579, 2**31 - 3):
+        assert _is_prime(p) == _by_trial_division(p)
+    # The least strong pseudoprime to bases 2, 3, 5 and 7 lies above the bound.
+    assert _PRIME_BOUND < 3215031751 and _is_prime(3215031751)
+    assert not _by_trial_division(3215031751)
 
 
 def test_field_name_parsing():

@@ -332,6 +332,28 @@ def test_medial_for_conjugation_of_abelian_groups():
         assert props(conjugation(cyclic_group_table(n))).medial
 
 
+def _medial_by_definition(q):
+    t, n = q.table, q.n
+    return all(t[t[w][x]][t[y][z]] == t[t[w][y]][t[x][z]]
+               for w in range(n) for x in range(n) for y in range(n) for z in range(n))
+
+
+def test_medial_matches_the_four_fold_definition():
+    import random
+    rng = random.Random(12)
+    cases = catalog(3) + catalog(4) + [conjugation(S3_TABLE), trivial(5)]
+    for q in (dihedral(4), dihedral(6), dihedral(8), dihedral(9),
+              alexander(5, 2), alexander(7, 3), alexander(9, 2)):
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        cases.append(relabel(q, perm))
+    for q in cases:
+        assert props(q).medial == _medial_by_definition(q)
+    assert not props(conjugation(S3_TABLE)).medial
+    assert props(trivial(5)).medial
+    assert not all(props(q).medial for q in catalog(4))
+
+
 def test_json_rejects_non_integer_entries():
     with pytest.raises(ValueError):
         from_json_dict({"n": 2, "table": [[0.0, 0], [1, 1]]})
