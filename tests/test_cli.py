@@ -308,6 +308,10 @@ PINNED = [
     ("derivations --quandle dihedral:24 --field Q", 0, "610a3a22c2328dcee91f9e4d5f705cc51ef57459fed7e8291e3c28d928da197d"),
     ("derivations --quandle dihedral:16 --field GF(3)", 0, "18877c6a4e079b351ffc4b26d8080ec25d092e228072670e87c3d1692073da6c"),
     ("symmetries --quandle dihedral:20 --field Q", 0, "e9c5708612ef43156721ae64d415d3ec9185087051884bcbae25798c64a47639"),
+    ("inner --quandle dihedral:12 --field Q", 0, "5a046d1bd434d18ec1b1ebe4b1c7485d48f4b48879c0bf5d0ce1e27bdd75e79f"),
+    ("inner --quandle dihedral:16 --field GF(3)", 0, "d7420d7efe907f5e84fc6c386ba87e3299ee5ac9c228be655bff84be09d0c9ba"),
+    ("inner --quandle alexander:7,3 --field Q", 0, "7c4be06a3ed15257588ad1edc4e88f08445d94f56107c4c0952951a09b04366f"),
+    ("derivations --quandle trivial:12 --field GF(3)", 0, "a9abb4d07ae9355549dd58f87e82abfa221d4ec5b49c79d352c60ee661615166"),
     ("derivations --quandle dihedral:6 --file q.json", 2, "a14c7b9ff0732ae15f217baf9ce623f428fc54b7222286ad1776459e10114120"),
     ("tables", 1, "a2cdefd2d41b8e3c05beb4f4ba69c9fc16f8194b3f9576a32d0ec8281ad17552"),
 ]

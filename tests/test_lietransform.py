@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -257,6 +258,31 @@ def test_alexander_form_various_parameters():
 def test_alexander_form_requires_affine_tag():
     with pytest.raises(ValueError):
         alexander_canonical_form(catalog_lookup("3.2"), Q)
+
+
+def _basis_digest(basis):
+    text = "\n".join(" ".join(map(str, v)) for v in basis.vectors)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded from the library before the product spans became single word
+# closures; beyond the order-8 dense oracles of test_closure_oracle.py.
+PRODUCT_SPAN_PINS = [
+    (alexander(11, 2), GF(3), "44f36455ea09da47710e2fdef570af8da7fa27f48bb01546fcb6797c6225d97e",
+     (101, 101, True, False), (True, (), 101, 101)),
+    (dihedral(12), Q, "4ebe07567d3d6e56cd08a91f01df085ff98efd064c92c7ea526605d1fd8e7633",
+     (41, 38, True, True), (True, (), 41, 38)),
+]
+
+
+@pytest.mark.parametrize("q, f, digest, lr, affine", PRODUCT_SPAN_PINS,
+                         ids=["alexander11-2-GF3", "dihedral12-Q"])
+def test_product_spans_pinned(q, f, digest, lr, affine):
+    r = lr_form_bound(q, f)
+    a = alexander_canonical_form(q, f)
+    assert _basis_digest(r.basis) == digest
+    assert (r.lr_dim, r.transformation_dim, r.contains_transformation_algebra, r.strict) == lr
+    assert (a.all_contained, a.failures, a.span_dim, a.transformation_dim) == affine
 
 
 def test_left_right_commute_for_affine_quandles():
