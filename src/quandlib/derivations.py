@@ -223,10 +223,6 @@ class SymmetryReport:
     n: int
     checks: dict[str, RelationCheck]
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks.values() if c.applicable)
-
 
 # The four classes of dihedral order that the relations distinguish.
 _ODD, _TWICE_ODD, _EVEN_QUARTER, _ODD_QUARTER = "odd", "2 mod 4", "0 mod 8", "4 mod 8"

@@ -12,12 +12,13 @@ is every product of seeds.  Nothing here multiplies matrices:
   a sparse scatter and gather on integer rows that go straight into the
   echelon kernel, which reduces them mod p over GF(p); see
   ``lie_transformation_algebra``;
-- product spans are products of word closures: the kept words spanning
-  every product of some generators (``_word_closure``), multiplied factor
-  by factor (``_product_span``); words are image tuples, a product is
-  composition, and a word seen before is not inserted again.  Membership
-  in a product span is tested against its echelon (``_outside``).  See
-  ``lr_form_bound`` and ``alexander_canonical_form``.
+- product spans are word closures: the smallest span that holds some
+  start words and is closed under left multiplication by some generators
+  (``_word_closure``); words are image tuples, a product is composition,
+  and a word seen before is not inserted again.  Axiom III gives
+  R_y·L_x = L_{x⊳y}·R_y, which makes one closure enough for each span.
+  Membership in a product span is tested against its echelon
+  (``_outside``).  See ``lr_form_bound`` and ``alexander_canonical_form``.
 
 Operators are flattened column-major into n²-dimensional coordinate space:
 coordinate x·n + u holds the coefficient of e_u in the image of e_x.  The
@@ -256,10 +257,9 @@ def inner_derivations(q: Quandle, f: FieldSpec) -> InnerDerivations:
 class LrSpan:
     """The span of (left-word)·(right-word) operator products.
 
-    The span is the product of the word closures of the L_x and of the R_x.
     ``contains_transformation_algebra`` reports the inclusion of the Lie
-    transformation algebra in this span; ``strict`` whether the inclusion is
-    proper.
+    transformation algebra in this span, which ``lr_form_bound`` proves and
+    still computes; ``strict`` whether the inclusion is proper.
     """
 
     basis: SubspaceBasis
@@ -269,33 +269,20 @@ class LrSpan:
     strict: bool
 
 
-def _word_closure(f: FieldSpec, n: int, gens: Sequence[Word]) -> list[Word]:
-    """Kept words spanning every product of ``gens``, the empty product included.
-
-    Each word that grew the span is extended once by every generator on the
-    left, so the span is closed under left multiplication by ``gens``.
+def _word_closure(f: FieldSpec, n: int, gens: Sequence[Word],
+                  start: Iterable[Word] | None = None) -> tuple[list[Word], _Echelon]:
+    """Kept words and echelon of the smallest span V that holds ``start``
+    (by default the identity) and is closed under left multiplication by
+    ``gens``: each word that grew V is extended once by every generator.
     """
     ech = _Echelon(f, n * n)
     seen: set[Word] = set()
-    frontier = _keep_independent(ech, [tuple(range(n))], seen)
+    frontier = _keep_independent(ech, [tuple(range(n))] if start is None else start, seen)
     kept = list(frontier)
     while frontier:
         frontier = _keep_independent(ech, (_compose(g, w) for w in frontier for g in gens), seen)
         kept += frontier
-    return kept
-
-
-def _product_span(f: FieldSpec, n: int, *factors: Sequence[Word]) -> _Echelon:
-    """The echelon spanning every product a·b·… with one word from each factor.
-
-    Folded from the right, keeping only independent words after each factor:
-    span{a·w : a ∈ A, w ∈ W} = A·span(W), so dropped words add nothing.
-    """
-    words: list[Word] = [tuple(range(n))]
-    for factor in reversed(factors):
-        ech = _Echelon(f, n * n)
-        words = _keep_independent(ech, (_compose(a, w) for a in factor for w in words), set())
-    return ech
+    return kept, ech
 
 
 def _outside(ech: _Echelon, vectors: Iterable[Sequence[Scalar]]) -> tuple[int, ...]:
@@ -304,16 +291,22 @@ def _outside(ech: _Echelon, vectors: Iterable[Sequence[Scalar]]) -> tuple[int, .
 
 
 def lr_form_bound(q: Quandle, f: FieldSpec) -> LrSpan:
-    """Span of all products (m left multiplications)·(k right multiplications).
+    """Span W of all products a·w, a an L-word and w an R-word.
 
-    By bilinearity this is span(L-words)·span(R-words), the product of the
-    two word closures.  The Lie transformation algebra is then tested for
-    membership.
+    W is the closure of the R-words (the kept words of the closure of id
+    under the R_x) under the L_x: W holds every R-word and L_x·a is an
+    L-word, and a span holding every R-word and closed under the L_x holds
+    each a·w, by induction on the length of a.
+
+    W is also the unital algebra generated by the L_x and R_x: axiom III
+    reads R_y·L_x = L_{x⊳y}·R_y, so w·a' = a''·w for an L-word a'', and
+    (a·w)·(a'·w') = (a·a'')·(w·w') ∈ W.  That algebra holds every
+    commutator of its elements, so ``contains_transformation_algebra`` is
+    always true; the inclusion is still computed, as a certificate.
     """
     n = q.n
-    lwords = _word_closure(f, n, [q.table[x] for x in range(n)])
-    rwords = _word_closure(f, n, [q.column_perm(x) for x in range(n)])
-    ech = _product_span(f, n, lwords, rwords)
+    rwords, _ = _word_closure(f, n, [q.column_perm(x) for x in range(n)])
+    _, ech = _word_closure(f, n, [q.table[x] for x in range(n)], start=rwords)
     basis = ech.basis()
     transf = lie_transformation_algebra(q, f)
     contained = not _outside(ech, transf.subspace.vectors)
@@ -335,8 +328,10 @@ class AlexanderFormReport:
     """Membership of the transformation algebra in the affine product span.
 
     The span collects L_f·L_0^a·R_0^b and R_g·L_0^a·R_0^b over all basis
-    indices f, g and all powers a, b ≥ 0: the product of the heads L_x, R_x
-    with the word closures of L_0 and of R_0.
+    indices f, g and all powers a, b ≥ 0.  By axioms III and I,
+    R_0·L_0 = L_{0⊳0}·R_0 = L_0·R_0, so the words in L_0 and R_0 are exactly
+    the L_0^a·R_0^b, and the span is the heads L_x, R_x times the closure
+    of id under {L_0, R_0}.
     """
 
     all_contained: bool
@@ -346,12 +341,15 @@ class AlexanderFormReport:
 
 
 def alexander_canonical_form(q: Quandle, f: FieldSpec) -> AlexanderFormReport:
+    """Test the transformation algebra for membership in the affine span
+    (see ``AlexanderFormReport``): the heads times the kept words."""
     if q.alexander is None:
         raise ValueError("quandle does not carry affine parameters")
     n = q.n
     heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
-    ech = _product_span(f, n, heads, _word_closure(f, n, [q.table[0]]),
-                        _word_closure(f, n, [q.column_perm(0)]))
+    words, _ = _word_closure(f, n, [q.table[0], q.column_perm(0)])
+    ech = _Echelon(f, n * n)
+    _keep_independent(ech, (_compose(h, w) for h in heads for w in words), set())
     transf = lie_transformation_algebra(q, f)
     failures = _outside(ech, transf.subspace.vectors)
     return AlexanderFormReport(

@@ -306,10 +306,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(_pivot_of(v) for v in self.vectors)  # type: ignore[misc]
-
     def to_lists(self) -> list[list[Scalar]]:
         return [list(v) for v in self.vectors]
 
@@ -361,25 +357,24 @@ def _nullspace_from_echelon(field: FieldSpec, ncols: int, ech: _Echelon) -> Subs
     # The stored rows are in RREF, so for each free column f the kernel holds
     # scale·e_f − Σ (scale/lead_c)·rows[c][f]·e_c over the pivot rows c that
     # hold f, with scale the lcm of their leads (1 over GF(p)).  Only those
-    # entries are read; the stored rows are never densified.
+    # entries are read, and each generator goes into the kernel's echelon as
+    # a sparse integer row.
     rows = ech.rows
     holders: dict[int, list[int]] = {}
     for c, row in rows.items():
         for k in row:
             if k != c:
                 holders.setdefault(k, []).append(c)
-    gens = []
+    kernel = _Echelon(field, ncols)
     for f in range(ncols):
         if f in rows:
             continue
         cs = holders.get(f, ())
         scale = lcm(*(rows[c][c] for c in cs))
-        vec = [0] * ncols
-        vec[f] = scale
-        for c in cs:
-            vec[c] = -(scale // rows[c][c]) * rows[c][f]
-        gens.append(vec)
-    return span_from_vectors(field, ncols, gens)
+        gen = {c: -(scale // rows[c][c]) * rows[c][f] for c in cs}
+        gen[f] = scale
+        kernel.insert(gen)
+    return kernel.basis()
 
 
 def span_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -389,7 +384,13 @@ def span_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 
 
 def span_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Canonical basis of A ∩ B via the Zassenhaus double-block reduction."""
+    """Canonical basis of A ∩ B via the Zassenhaus double-block reduction.
+
+    Rows (v, v) for v in A and (v, 0) for v in B span a space whose vectors
+    (0, w) are exactly those with w in A ∩ B.  The stored rows with pivot in
+    the second block vanish on the first, and they are in RREF, so shifted
+    by n they are already the RREF of A ∩ B.
+    """
     _check_compatible(a, b)
     n = a.ambient_dim
     zero = a.field.zero()
@@ -398,14 +399,9 @@ def span_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         ech.insert_dense(tuple(v) + tuple(v))
     for v in b.vectors:
         ech.insert_dense(tuple(v) + (zero,) * n)
-    gens = []
-    for c, row in ech.rows.items():
-        if c >= n:
-            vec = [0] * n
-            for k, v in row.items():
-                vec[k - n] = v
-            gens.append(vec)
-    return span_from_vectors(a.field, n, gens)
+    inter = _Echelon(a.field, n)
+    inter.rows = {c - n: {k - n: v for k, v in row.items()} for c, row in ech.rows.items() if c >= n}
+    return inter.basis()
 
 
 def coordinates(basis: SubspaceBasis, v: Sequence[Scalar | int]) -> tuple[Scalar, ...] | None:

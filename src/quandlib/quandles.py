@@ -88,10 +88,6 @@ class Quandle:
     label: str | None = field(default=None, compare=False)
     alexander: AlexanderParams | None = field(default=None, compare=False)
 
-    def apply(self, x: int, y: int) -> int:
-        """x ⊳ y."""
-        return self.table[x][y]
-
     def column_perm(self, y: int) -> tuple[int, ...]:
         """The permutation x ↦ x ⊳ y (right multiplication by y)."""
         return tuple(self.table[x][y] for x in range(self.n))

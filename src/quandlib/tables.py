@@ -127,8 +127,7 @@ def _evaluate_cell(expr: str, param: str, f: FieldSpec):
     return f.from_int(coeffs.get(param, 0))
 
 
-def _basis_matrix(entry: TableEntry, cells: tuple[tuple[str, ...], ...],
-                  param: str, f: FieldSpec) -> Matrix:
+def _basis_matrix(cells: tuple[tuple[str, ...], ...], param: str, f: FieldSpec) -> Matrix:
     rows = [[_evaluate_cell(cell, param, f) for cell in row] for row in cells]
     return Matrix.from_rows(f, rows)
 
@@ -169,13 +168,13 @@ def golden_span(entry: TableEntry) -> SubspaceBasis:
     vectors = []
     for param in entry.params:
         if entry.builder == "dihedral_blocks":
-            u = _basis_matrix(entry, entry.u_block, param, f)
-            v = _basis_matrix(entry, entry.v_block, param, f)
+            u = _basis_matrix(entry.u_block, param, f)
+            v = _basis_matrix(entry.v_block, param, f)
             mat = _blocks_to_matrix(u, v)
         else:
             if entry.matrix is None:
                 break
-            mat = _basis_matrix(entry, entry.matrix, param, f)
+            mat = _basis_matrix(entry.matrix, param, f)
         vectors.append(flatten_matrix(mat))
     return span_from_vectors(f, n * n, vectors)
 

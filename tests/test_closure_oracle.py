@@ -25,8 +25,9 @@ from quandlib.fields import GF, RATIONALS
 from quandlib.linalg import Matrix, SubspaceBasis, _Echelon, contains
 from quandlib.algebra import left_mult, right_mult
 from quandlib.lietransform import (
+    _compose,
+    _keep_independent,
     _outside,
-    _product_span,
     _word_closure,
     alexander_canonical_form,
     flatten_operator,
@@ -248,11 +249,32 @@ def test_closure_certificate(q, f):
 def test_kernel_membership_agrees_with_contains(q, f):
     n = q.n
     heads = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
-    ech = _product_span(f, n, heads, _word_closure(f, n, [q.table[0]]),
-                        _word_closure(f, n, [q.column_perm(0)]))
+    words, _ = _word_closure(f, n, [q.table[0], q.column_perm(0)])
+    ech = _Echelon(f, n * n)
+    _keep_independent(ech, (_compose(h, w) for h in heads for w in words), set())
     basis = ech.basis()
     units = [tuple(f.one() if k == c else f.zero() for k in range(n * n)) for c in range(n * n)]
     probes = list(lie_transformation_algebra(q, f).subspace.vectors) + units
     outside = _outside(ech, probes)
     assert outside == tuple(i for i, v in enumerate(probes) if not contains(basis, v))
     assert 0 < len(outside) < len(probes)
+
+
+# R_y·L_x = L_{x⊳y}·R_y (axiom III), so the span of the products
+# (L-word)·(R-word) is the unital algebra that every L_x and R_x generate,
+# and it holds the Lie transformation algebra.
+LR_IDENTITY_CASES = (
+    [pytest.param(q, f, id=f"{name}-{f.name}")
+     for name, q in list(RELABELED.items()) + list(WIDE_GENERATION.items()) for f in FIELDS]
+    + [pytest.param(q, f, id=f"catalog{q.label}-{f.name}")
+       for q in catalog(3) + catalog(4) for f in FIELDS]
+)
+
+
+@pytest.mark.parametrize("q, f", LR_IDENTITY_CASES)
+def test_lr_span_is_the_algebra_generated_by_all_multiplications(q, f):
+    n = q.n
+    gens = [q.table[x] for x in range(n)] + [q.column_perm(x) for x in range(n)]
+    r = lr_form_bound(q, f)
+    assert r.basis == _word_closure(f, n, gens)[1].basis()
+    assert r.contains_transformation_algebra

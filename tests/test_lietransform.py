@@ -277,7 +277,7 @@ PRODUCT_SPAN_PINS = [
 
 @pytest.mark.parametrize("q, f, digest, lr, affine", PRODUCT_SPAN_PINS,
                          ids=["alexander11-2-GF3", "dihedral12-Q"])
-def test_product_spans_pinned(q, f, digest, lr, affine):
+def test_lr_and_affine_spans_pinned(q, f, digest, lr, affine):
     r = lr_form_bound(q, f)
     a = alexander_canonical_form(q, f)
     assert _basis_digest(r.basis) == digest

@@ -294,6 +294,40 @@ def test_dimension_formula_random_subspaces():
             assert span_sum(a, b).dim + span_intersect(a, b).dim == a.dim + b.dim
 
 
+def _random_subspace_pair(rng, field, ambient):
+    def gen():
+        return [[field.from_int(rng.randrange(-2, 3)) for _ in range(ambient)]
+                for _ in range(rng.randrange(0, 4))]
+    return _span(field, ambient, gen()), _span(field, ambient, gen())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_span_intersect_members_match_enumeration(p):
+    # Every combination of the intersection's basis, against every vector
+    # of GF(p)^ambient that lies in both spaces.
+    field = GF(p)
+    rng = random.Random(40 + p)
+    for _ in range(40):
+        ambient = rng.randrange(1, 5)
+        a, b = _random_subspace_pair(rng, field, ambient)
+        inter = span_intersect(a, b)
+        members = {tuple(sum(c * v[k] for c, v in zip(coeffs, inter.vectors)) % p
+                         for k in range(ambient))
+                   for coeffs in product(range(p), repeat=inter.dim)}
+        both = {v for v in product(range(p), repeat=ambient) if contains(a, v) and contains(b, v)}
+        assert members == both
+        assert len(members) == p ** inter.dim
+
+
+def test_span_intersect_basis_lies_in_both_spaces_over_q():
+    rng = random.Random(17)
+    for _ in range(40):
+        ambient = rng.randrange(1, 5)
+        a, b = _random_subspace_pair(rng, Q, ambient)
+        inter = span_intersect(a, b)
+        assert all(contains(a, v) and contains(b, v) for v in inter.vectors)
+
+
 def test_canonical_under_generator_permutation():
     gens = [[1, 2, 0, 1], [0, 1, 1, 0], [2, 5, 1, 2], [1, 1, 1, 1]]
     rng = random.Random(5)
