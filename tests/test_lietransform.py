@@ -15,7 +15,7 @@ from quandlib.lietransform import (
     lr_form_bound,
     operator_from_flat,
 )
-from quandlib.quandles import alexander, catalog_lookup, dihedral, trivial
+from quandlib.quandles import S3_TABLE, alexander, catalog_lookup, conjugation, dihedral, trivial
 from test_closure_oracle import pairwise_closure
 
 Q = RATIONALS
@@ -119,6 +119,29 @@ def test_transformation_algebra_contains_generators():
             assert t.contains_operator(left_mult(x, q, Q))
             assert t.contains_operator(right_mult(x, q, Q))
         assert t.generator_log[0] == "id"
+
+
+# Full generator logs in which R_0 and a later R_x join the generating set.
+# The canonical basis cannot see the order in which the seeds are tried;
+# only the log can.
+GENERATOR_LOG_PINS = [
+    (dihedral(6), GF(3), (
+        "id", "L0", "R0", "L1", "[L1,L0]", "[L1,R0]", "[L0,[L1,L0]]", "[R0,[L1,L0]]",
+        "[L1,[L1,L0]]", "[R0,[L1,R0]]", "[R0,[R0,[L1,L0]]]", "R1", "[R1,R0]", "[R0,[R1,R0]]",
+    )),
+    (conjugation(S3_TABLE), Q, (
+        "id", "L0", "L1", "[L1,L0]", "L2", "L3", "[L3,L0]", "[L3,L1]", "[L3,[L1,L0]]",
+        "[L3,L2]", "L4", "[L4,L1]", "[L4,L3]", "[L3,[L4,L3]]", "[L4,[L4,L3]]",
+        "[L3,[L3,[L4,L3]]]", "[L4,[L3,[L4,L3]]]", "R1", "R3",
+    )),
+]
+
+
+@pytest.mark.parametrize("q, f, log", GENERATOR_LOG_PINS, ids=["dihedral6-GF3", "conjugation-s3-Q"])
+def test_generator_log_pinned(q, f, log):
+    t = lie_transformation_algebra(q, f)
+    assert t.generator_log == log
+    assert t.dim == len(log)
 
 
 def test_transformation_algebra_bracket_closed():
