@@ -124,28 +124,28 @@ def augmentation_ideal(q: Quandle, f: FieldSpec) -> SubspaceBasis:
 # multiplication operators
 
 
+def _map_matrix(w: Sequence[int], f: FieldSpec) -> Matrix:
+    """The matrix of the functional map e_y ↦ e_{w[y]}."""
+    n = len(w)
+    ents = [f.zero()] * (n * n)
+    one = f.one()
+    for y, u in enumerate(w):
+        ents[u * n + y] = one
+    return Matrix(f, n, n, tuple(ents))
+
+
 def left_mult(x: int, q: Quandle, f: FieldSpec) -> Matrix:
     """The operator e_y ↦ e_{x ⊳ y}."""
     if not (0 <= x < q.n):
         raise IndexError(f"element {x} out of range")
-    n = q.n
-    ents = [f.zero()] * (n * n)
-    one = f.one()
-    for y in range(n):
-        ents[q.table[x][y] * n + y] = one
-    return Matrix(f, n, n, tuple(ents))
+    return _map_matrix(q.table[x], f)
 
 
 def right_mult(x: int, q: Quandle, f: FieldSpec) -> Matrix:
     """The operator e_y ↦ e_{y ⊳ x}; always a permutation matrix."""
     if not (0 <= x < q.n):
         raise IndexError(f"element {x} out of range")
-    n = q.n
-    ents = [f.zero()] * (n * n)
-    one = f.one()
-    for y in range(n):
-        ents[q.table[y][x] * n + y] = one
-    return Matrix(f, n, n, tuple(ents))
+    return _map_matrix(q.column_perm(x), f)
 
 
 # ---------------------------------------------------------------------------

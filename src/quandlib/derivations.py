@@ -19,44 +19,36 @@ from typing import Callable, Iterator, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, SubspaceBasis, _Echelon, _nullspace_from_echelon
-from .quandles import Quandle, _check_group
+from .quandles import Quandle, _check_group, _preimages
 
 
 # ---------------------------------------------------------------------------
 # the Leibniz system
 
 
-def _left_preimages(q: Quandle) -> list[list[list[int]]]:
-    """pre[x][z] = all w with x ⊳ w = z (possibly empty, rows need not be bijective)."""
-    pre = [[[] for _ in range(q.n)] for _ in range(q.n)]
-    for x in range(q.n):
-        for w in range(q.n):
-            pre[x][q.table[x][w]].append(w)
-    return pre
-
-
 def _leibniz_sparse_rows(q: Quandle) -> Iterator[dict[int, int]]:
     """Integer coefficient rows of the Leibniz system, one per (x, y, z).
 
     Row (x, y, z) encodes the coefficient of e_z in
-    D(e_{x⊳y}) - D(e_x)·e_y - e_x·D(e_y).
+    D(e_{x⊳y}) - D(e_x)·e_y - e_x·D(e_y): D[z][x⊳y] minus D[ẑ][x] and each
+    D[w][y], for ẑ and w the preimages of z under R_y and under L_x.
     """
     n = q.n
     table = q.table
-    colinv = [q.column_perm_inverse(y) for y in range(n)]
-    pre = _left_preimages(q)
+    left_pre = [_preimages(row) for row in table]
+    # Axiom II: each R_y is a bijection, so R_y⁻¹(z) is a single element.
+    right_inv = [[x for (x,) in _preimages(col)] for col in zip(*table)]
     for x in range(n):
         row_x = table[x]
+        pre_x = left_pre[x]
         for y in range(n):
             xy = row_x[y]
-            inv_y = colinv[y]
+            inv_y = right_inv[y]
             for z in range(n):
-                row: dict[int, int] = {}
-                row[z * n + xy] = row.get(z * n + xy, 0) + 1
-                zhat = inv_y[z]
-                key = zhat * n + x
+                row = {z * n + xy: 1}
+                key = inv_y[z] * n + x
                 row[key] = row.get(key, 0) - 1
-                for w in pre[x][z]:
+                for w in pre_x[z]:
                     key = w * n + y
                     row[key] = row.get(key, 0) - 1
                 yield {k: v for k, v in row.items() if v}
@@ -183,23 +175,23 @@ class StructureCheck:
 def verify_structure_relations(D: Matrix, q: Quandle) -> StructureCheck:
     """Check c_{x⊳y}^z = c_x^ẑ + sum over w in x⁻¹(z) of c_y^w for all x, y, z.
 
-    Here ẑ is the unique element with ẑ ⊳ y = z and x⁻¹(z) = {w : x ⊳ w = z}.
-    Agrees exactly with membership in the derivation space.
+    The two sums run over the preimages of R_y and of L_x: ẑ is the unique
+    element with ẑ ⊳ y = z and x⁻¹(z) = {w : x ⊳ w = z}.  Agrees exactly
+    with membership in the derivation space.
     """
     n = q.n
     if D.nrows != n or D.ncols != n:
         raise ValueError("matrix order does not match quandle order")
     f = D.field
-    colinv = [q.column_perm_inverse(y) for y in range(n)]
-    pre = _left_preimages(q)
+    left_pre = [_preimages(row) for row in q.table]
+    right_inv = [[x for (x,) in _preimages(col)] for col in zip(*q.table)]
     for x in range(n):
         for y in range(n):
             xy = q.table[x][y]
-            inv_y = colinv[y]
             for z in range(n):
                 lhs = D.entry(z, xy)
-                rhs = D.entry(inv_y[z], x)
-                for w in pre[x][z]:
+                rhs = D.entry(right_inv[y][z], x)
+                for w in left_pre[x][z]:
                     rhs = f.add(rhs, D.entry(w, y))
                 if lhs != rhs:
                     return StructureCheck(False, (x, y, z))

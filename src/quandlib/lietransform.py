@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, SubspaceBasis, _Echelon, contains, span_from_vectors, span_intersect
-from .quandles import Quandle
+from .quandles import Quandle, _preimages
 from .derivations import derivation_space
 
 # The image tuple of a functional map: the map sends e_y to e_{w[y]}.
@@ -78,14 +78,6 @@ def _word_row(w: Word) -> dict[int, int]:
 def _compose(a: Word, b: Word) -> Word:
     """The product a·b: e_y ↦ e_{a(b(y))}."""
     return tuple(map(a.__getitem__, b))
-
-
-def _seed_words(q: Quandle) -> list[tuple[str, Word]]:
-    """id, then L_x: y ↦ x ⊳ y, then R_x: y ↦ y ⊳ x."""
-    seeds = [("id", tuple(range(q.n)))]
-    seeds += [(f"L{x}", q.table[x]) for x in range(q.n)]
-    seeds += [(f"R{x}", q.column_perm(x)) for x in range(q.n)]
-    return seeds
 
 
 def _keep_independent(ech: _Echelon, words: Iterable[Word], seen: set[Word]) -> list[Word]:
@@ -159,10 +151,10 @@ def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
     """The Lie algebra g generated by S = {id} ∪ {L_x} ∪ {R_x} acting on k[X].
 
     Closed over a generating set S′ ⊆ S that grows as needed.  The seeds are
-    inserted in the order id, L_0, R_0, then the rest of ``_seed_words``; a
-    seed that grows the span joins S′.  Every element that grew the span is
-    kept and bracketed once with every generator: a new generator with each
-    element kept before it, a new bracket with each generator in S′.  A
+    inserted in the order id, L_0, R_0, L_1, ..., L_{n-1}, R_1, ..., R_{n-1};
+    a seed that grows the span joins S′.  Every element that grew the span
+    is kept and bracketed once with every generator: a new generator with
+    each element kept before it, a new bracket with each generator in S′.  A
     bracket that grows the span is kept in turn.  The next seed is inserted
     only when no bracket is left to try.  The identity is central, so it is
     kept but never bracketed.
@@ -185,8 +177,9 @@ def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
     """
     n = q.n
     ech = _Echelon(f, n * n)
-    seeds = _seed_words(q)
-    seeds.insert(2, seeds.pop(n + 1))  # id, L_0, R_0, then the rest in order
+    seeds = [("id", tuple(range(n))), ("L0", q.table[0]), ("R0", q.column_perm(0))]
+    seeds += [(f"L{x}", q.table[x]) for x in range(1, n)]
+    seeds += [(f"R{x}", q.column_perm(x)) for x in range(1, n)]
     gens: list[tuple[str, Word, list[list[int]]]] = []
     kept: list[tuple[str, dict[int, int]]] = []
     # Brackets left to try, as (index into gens, index into kept).
@@ -196,11 +189,8 @@ def lie_transformation_algebra(q: Quandle, f: FieldSpec) -> OperatorSpace:
         if not ech.insert(row):
             continue
         if name != "id":
-            preimages: list[list[int]] = [[] for _ in range(n)]
-            for z, y in enumerate(w):
-                preimages[y].append(z)
             work.extend((len(gens), t) for t in range(1, len(kept)))  # kept[0] is id
-            gens.append((name, w, preimages))
+            gens.append((name, w, _preimages(w)))
         kept.append((name, row))
         while work:
             g, t = work.popleft()

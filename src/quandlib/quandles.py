@@ -92,14 +92,17 @@ class Quandle:
         """The permutation x ↦ x ⊳ y (right multiplication by y)."""
         return tuple(self.table[x][y] for x in range(self.n))
 
-    def column_perm_inverse(self, y: int) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for x in range(self.n):
-            inv[self.table[x][y]] = x
-        return tuple(inv)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "table": [list(row) for row in self.table]}
+
+
+def _preimages(w: Sequence[int]) -> list[list[int]]:
+    """pre[u] lists every y with w[y] = u, in increasing order, for a map
+    y ↦ w[y] such as L_x or R_y; a list is empty where w is not onto."""
+    pre: list[list[int]] = [[] for _ in w]
+    for y, u in enumerate(w):
+        pre[u].append(y)
+    return pre
 
 
 @dataclass(frozen=True)
@@ -187,23 +190,24 @@ def from_json_dict(data: dict, label: str | None = None) -> Quandle:
 
 
 def trivial(n: int) -> Quandle:
-    """x ⊳ y = x."""
+    """x ⊳ y = x: the Alexander quandle with alpha = 1."""
     if n < 1:
         raise ValueError("order must be positive")
-    table = tuple(tuple(x for _ in range(n)) for x in range(n))
-    return Quandle(n, table, alexander=AlexanderParams(n, 1))
+    return alexander(n, 1)
 
 
 def dihedral(n: int) -> Quandle:
-    """x ⊳ y = 2y - x on Z_n."""
+    """x ⊳ y = 2y - x on Z_n: the Alexander quandle with alpha = -1."""
     if n < 1:
         raise ValueError("order must be positive")
-    table = tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
-    return Quandle(n, table, alexander=AlexanderParams(n, n - 1))
+    return alexander(n, -1)
 
 
 def alexander(n: int | AlexanderParams, alpha: int | None = None) -> Quandle:
-    """x ⊳ y = alpha*x + (1 - alpha)*y on Z_n."""
+    """x ⊳ y = alpha*x + (1 - alpha)*y on Z_n, from n and alpha or from one
+    ``AlexanderParams``."""
+    if isinstance(n, AlexanderParams) != (alpha is None):
+        raise ValueError("alexander() takes a modulus and alpha, or one AlexanderParams")
     params = n if isinstance(n, AlexanderParams) else AlexanderParams(n, alpha)
     a, b, m = params.alpha, params.beta, params.n
     table = tuple(tuple((a * x + b * y) % m for y in range(m)) for x in range(m))

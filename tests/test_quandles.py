@@ -125,6 +125,24 @@ def test_alexander_params_beta():
     assert alexander(p).table[1][2] == (2 * 1 + 4 * 2) % 5
 
 
+def test_alexander_needs_alpha_exactly_once():
+    with pytest.raises(ValueError, match="modulus and alpha"):
+        alexander(5)
+    with pytest.raises(ValueError, match="modulus and alpha"):
+        alexander(AlexanderParams(5, 2), 3)
+    assert alexander(AlexanderParams(5, 2)).alexander == AlexanderParams(5, 2)
+
+
+def test_trivial_and_dihedral_match_their_formulas():
+    # Quandle equality ignores the affine tag, so it is checked on its own.
+    for n in range(1, 17):
+        assert trivial(n).table == tuple(tuple(x for _ in range(n)) for x in range(n))
+        assert dihedral(n).table == tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n))
+        assert trivial(n).alexander == AlexanderParams(n, 1)
+        assert dihedral(n).alexander == AlexanderParams(n, n - 1)
+        assert (trivial(n).alexander.alpha, dihedral(n).alexander.alpha) == (1 % n, (n - 1) % n)
+
+
 def test_conjugation_of_abelian_group_is_trivial():
     for n in (1, 2, 3, 5):
         assert conjugation(cyclic_group_table(n)) == trivial(n)
