@@ -4,11 +4,13 @@ A derivation is a linear map D with D(a·b) = D(a)·b + a·D(b).  On the basis
 this is one linear condition per triple (x, y, z), giving an n³ × n² system
 whose kernel, reshaped, is the space of derivation matrices.  The unknowns
 are the matrix entries D[u][t] (the coefficient of e_u in D(e_t)), flattened
-row-major: unknown index = u*n + t.  The solver makes one pass over the
-rows: those that only equate two unknowns merge them into classes, and the
-rest are solved over the classes (see ``derivation_space``).  The solver is
-the ground truth here; the dihedral symmetry relations and the closed-form
-dimension counts are checked against it, never used to shortcut it.
+row-major: unknown index = u*n + t.  The solver first reads off the
+multiplication tables which rows only equate two unknowns, those at an e_z
+outside the image of L_x, and merges those unknowns into classes; then it
+streams every row, written over the classes, straight into the echelon (see
+``derivation_space``).  The solver is the ground truth here; the dihedral
+symmetry relations and the closed-form dimension counts are checked against
+it, never used to shortcut it.
 """
 
 from __future__ import annotations
@@ -26,18 +28,28 @@ from .quandles import Quandle, _check_group, _preimages
 # the Leibniz system
 
 
-def _leibniz_sparse_rows(q: Quandle) -> Iterator[dict[int, int]]:
+def _preimage_tables(q: Quandle) -> tuple[list[list[list[int]]], list[list[int]]]:
+    """L_x⁻¹ and R_y⁻¹ of every x and y: ``left_pre[x][z]`` lists the w with
+    x ⊳ w = z, and ``right_inv[y][z]`` is the one ẑ with ẑ ⊳ y = z."""
+    left_pre = [_preimages(row) for row in q.table]
+    # Axiom II: each R_y is a bijection, so R_y⁻¹(z) is a single element.
+    right_inv = [[x for (x,) in _preimages(col)] for col in zip(*q.table)]
+    return left_pre, right_inv
+
+
+def _leibniz_sparse_rows(q: Quandle, cls: Sequence[int] | None = None) -> Iterator[dict[int, int]]:
     """Integer coefficient rows of the Leibniz system, one per (x, y, z).
 
     Row (x, y, z) encodes the coefficient of e_z in
     D(e_{x⊳y}) - D(e_x)·e_y - e_x·D(e_y): D[z][x⊳y] minus D[ẑ][x] and each
-    D[w][y], for ẑ and w the preimages of z under R_y and under L_x.
+    D[w][y], for ẑ and w the preimages of z under R_y and under L_x.  With a
+    class map ``cls`` the unknown a is written as column cls[a], the
+    coefficients of one class added up.
     """
     n = q.n
     table = q.table
-    left_pre = [_preimages(row) for row in table]
-    # Axiom II: each R_y is a bijection, so R_y⁻¹(z) is a single element.
-    right_inv = [[x for (x,) in _preimages(col)] for col in zip(*table)]
+    col = range(n * n) if cls is None else cls
+    left_pre, right_inv = _preimage_tables(q)
     for x in range(n):
         row_x = table[x]
         pre_x = left_pre[x]
@@ -45,11 +57,11 @@ def _leibniz_sparse_rows(q: Quandle) -> Iterator[dict[int, int]]:
             xy = row_x[y]
             inv_y = right_inv[y]
             for z in range(n):
-                row = {z * n + xy: 1}
-                key = inv_y[z] * n + x
+                row = {col[z * n + xy]: 1}
+                key = col[inv_y[z] * n + x]
                 row[key] = row.get(key, 0) - 1
                 for w in pre_x[z]:
-                    key = w * n + y
+                    key = col[w * n + y]
                     row[key] = row.get(key, 0) - 1
                 yield {k: v for k, v in row.items() if v}
 
@@ -100,23 +112,16 @@ def flatten_matrix(m: Matrix) -> tuple[Scalar, ...]:
     return m.entries
 
 
-def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
-    """Canonical basis of the kernel of the Leibniz system over ``f``.
+def _equality_classes(q: Quandle) -> tuple[list[int], int]:
+    """The classes of unknowns that the equality rows merge, from the tables.
 
-    One pass over the rows splits them.  An equality row, with exactly two
-    entries +1 and -1 on the integer row, says D_a = D_b over Q and over
-    every GF(p), since ±1 is a unit in each; it merges a and b in a
-    union-find over the n² unknowns.  Every other non-empty row is kept.
-    The kernel of the full system is the set of vectors that are constant on
-    each class and satisfy the kept rows; on such a vector a kept row reads
-    as its rewrite onto classes, with the coefficients of each class added
-    up.  So the kernel is the lift a ↦ v[class(a)] of the kernel of the
-    rewritten rows over the m classes, and the lift is injective.  Classes
-    are numbered by their least member in increasing order, so the lift
-    keeps pivot order, pivot entries and the zeros beside each pivot: the
-    lifted RREF basis is the canonical RREF of the full kernel.
+    Returns the class of each of the n² unknowns and the number m of
+    classes, numbered by their least member in increasing order.  Row
+    (x, y, z) is an equality row exactly when z is outside the image of L_x
+    and its two keys z·n + x⊳y and ẑ·n + x differ (see ``derivation_space``).
     """
-    size = q.n * q.n
+    n = q.n
+    size = n * n
     parent = list(range(size))
 
     def find(a: int) -> int:
@@ -125,16 +130,15 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
             a = parent[a]
         return a
 
-    kept: list[dict[int, int]] = []
-    for row in _leibniz_sparse_rows(q):
-        if len(row) == 2:
-            (a, u), (b, v) = row.items()
-            if u * v == -1:
-                a, b = find(a), find(b)
-                parent[max(a, b)] = min(a, b)
+    left_pre, right_inv = _preimage_tables(q)
+    for x in range(n):
+        row_x = q.table[x]
+        for z, pre in enumerate(left_pre[x]):
+            if pre:
                 continue
-        if row:
-            kept.append(row)
+            for y in range(n):
+                a, b = find(z * n + row_x[y]), find(right_inv[y][z] * n + x)
+                parent[max(a, b)] = min(a, b)
     # Each root is the least member of its class, so it is numbered first.
     cls = [0] * size
     m = 0
@@ -145,15 +149,39 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
             m += 1
         else:
             cls[a] = cls[root]
+    return cls, m
+
+
+def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
+    """Canonical basis of the kernel of the Leibniz system over ``f``.
+
+    Row (x, y, z) has +1 at z·n + x⊳y, -1 at ẑ·n + x and -1 at w·n + y for
+    each of the k preimages w of z under L_x, so its coefficients sum to
+    1 - 1 - k = -k; adding up equal keys and dropping zeros keeps that sum.
+    An equality row, with exactly two entries +1 and -1, sums to 0, so k = 0;
+    and a row with k = 0 is +1 and -1 at its two keys, empty if they
+    coincide.  So a row is an equality row exactly when L_x⁻¹(z) is empty
+    and its two keys differ, and the tables alone give every equality row
+    before any row is built (``_equality_classes``).  An equality row says
+    D_a = D_b over Q and over every GF(p), since ±1 is a unit in each; it
+    merges a and b in a union-find over the n² unknowns.  The kernel of the
+    full system is the set of vectors that are constant on each class and
+    satisfy the other rows; on such a vector a row reads as its rewrite onto
+    classes, with the coefficients of each class added up.  Written over the
+    classes, an equality row is empty and every other row keeps its sum
+    -k ≠ 0, so each non-empty row goes into the echelon as it is generated.
+    The kernel is the lift a ↦ v[class(a)] of the kernel of those rows over
+    the m classes, and the lift is injective.  Classes are numbered by their
+    least member in increasing order, so the lift keeps pivot order, pivot
+    entries and the zeros beside each pivot: the lifted RREF basis is the
+    canonical RREF of the full kernel.
+    """
+    size = q.n * q.n
+    cls, m = _equality_classes(q)
     ech = _Echelon(f, m)
-    for row in kept:
-        if m < size:
-            merged: dict[int, int] = {}
-            for k, v in row.items():
-                c = cls[k]
-                merged[c] = merged.get(c, 0) + v
-            row = {c: v for c, v in merged.items() if v}
-        ech.insert(row)
+    for row in _leibniz_sparse_rows(q, cls):
+        if row:
+            ech.insert(row)
     kernel = _nullspace_from_echelon(f, m, ech)
     if m < size:
         kernel = SubspaceBasis(f, size, tuple(tuple(map(vec.__getitem__, cls))
@@ -183,8 +211,7 @@ def verify_structure_relations(D: Matrix, q: Quandle) -> StructureCheck:
     if D.nrows != n or D.ncols != n:
         raise ValueError("matrix order does not match quandle order")
     f = D.field
-    left_pre = [_preimages(row) for row in q.table]
-    right_inv = [[x for (x,) in _preimages(col)] for col in zip(*q.table)]
+    left_pre, right_inv = _preimage_tables(q)
     for x in range(n):
         for y in range(n):
             xy = q.table[x][y]

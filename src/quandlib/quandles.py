@@ -63,6 +63,10 @@ class AlexanderParams:
     alpha: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n < 1:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "alpha", self.alpha % self.n)

@@ -110,7 +110,7 @@ def test_dense_and_sparse_solver_paths_agree():
     # dihedral inputs merge classes; trivial(5) and conjugation:z6 merge none
     # but repeat each non-empty row n times.
     from quandlib.linalg import nullspace
-    from quandlib.quandles import relabel
+    from quandlib.quandles import alexander, catalog_lookup, relabel
     cases = [(q, f) for q in catalog(3) for f in (Q, GF(2), GF(3))]
     cases += [(q, Q) for q in catalog(4)]
     cases += [(dihedral(n), Q) for n in (4, 5, 6)]
@@ -121,6 +121,12 @@ def test_dense_and_sparse_solver_paths_agree():
         rng.shuffle(perm)
         cases += [(relabel(dihedral(n), perm), f) for f in (Q, GF(2), GF(3), GF(2**31 - 1))]
     cases += [(trivial(5), Q), (conjugation(cyclic_group_table(6)), Q)]
+    # Non-bijective L_x in positive characteristic; catalog(3) above already
+    # covers 3.2 over GF(2) and GF(3).
+    cases += [(q, f) for q in (alexander(8, 3), catalog_lookup("4.2")) for f in (GF(2), GF(3))]
+    perm = list(range(12))
+    rng.shuffle(perm)
+    cases += [(relabel(dihedral(12), perm), GF(3))]
     for q, f in cases:
         assert nullspace(leibniz_system(q, f)) == derivation_space(q, f).subspace
 
@@ -138,7 +144,7 @@ def test_dihedral4_gf2_exhaustive_oracle():
 
 def test_derivation_dimension_invariant_under_relabeling():
     import random
-    from quandlib.quandles import relabel
+    from quandlib.quandles import alexander, catalog_lookup, relabel
     rng = random.Random(31)
     for q in (dihedral(4), dihedral(6), catalog(4)[4]):
         base = derivation_space(q, Q).dim

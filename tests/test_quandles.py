@@ -125,6 +125,13 @@ def test_alexander_params_beta():
     assert alexander(p).table[1][2] == (2 * 1 + 4 * 2) % 5
 
 
+@pytest.mark.parametrize("n, alpha", [(5, None), (5.0, 2), ("5", 2), (True, 1), (5, 2.0), (5, False)],
+                         ids=["alpha-None", "float-n", "str-n", "bool-n", "float-alpha", "bool-alpha"])
+def test_alexander_params_reject_non_int_fields(n, alpha):
+    with pytest.raises(ValueError, match="must be an int"):
+        AlexanderParams(n, alpha)
+
+
 def test_alexander_needs_alpha_exactly_once():
     with pytest.raises(ValueError, match="modulus and alpha"):
         alexander(5)
