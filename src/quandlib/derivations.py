@@ -6,8 +6,11 @@ whose kernel, reshaped, is the space of derivation matrices.  The unknowns
 are the matrix entries D[u][t] (the coefficient of e_u in D(e_t)), flattened
 row-major: unknown index = u*n + t.  The solver first reads off the
 multiplication tables which rows only equate two unknowns, those at an e_z
-outside the image of L_x, and merges those unknowns into classes; then it
-streams every row, written over the classes, straight into the echelon (see
+outside the image of L_x, and merges those unknowns into classes.  It then
+generates the rows of one element per orbit of the inner automorphism
+group, written over the classes, and closes their span under the class
+permutations that a few inner automorphisms R_y induce: renaming the
+unknowns by an automorphism maps the Leibniz rows onto Leibniz rows (see
 ``derivation_space``).  The solver is the ground truth here; the dihedral
 symmetry relations and the closed-form dimension counts are checked against
 it, never used to shortcut it.
@@ -37,26 +40,30 @@ def _preimage_tables(q: Quandle) -> tuple[list[list[list[int]]], list[list[int]]
     return left_pre, right_inv
 
 
-def _leibniz_sparse_rows(q: Quandle, cls: Sequence[int] | None = None) -> Iterator[dict[int, int]]:
+def _leibniz_sparse_rows(q: Quandle, cls: Sequence[int] | None = None,
+                         xs: Sequence[int] | None = None) -> Iterator[dict[int, int]]:
     """Integer coefficient rows of the Leibniz system, one per (x, y, z).
 
     Row (x, y, z) encodes the coefficient of e_z in
     D(e_{x⊳y}) - D(e_x)·e_y - e_x·D(e_y): D[z][x⊳y] minus D[ẑ][x] and each
     D[w][y], for ẑ and w the preimages of z under R_y and under L_x.  With a
     class map ``cls`` the unknown a is written as column cls[a], the
-    coefficients of one class added up.
+    coefficients of one class added up, and the rows with L_x⁻¹(z) empty are
+    skipped: over the classes they are empty (see ``derivation_space``).
+    ``xs`` limits x to the given elements, all of them by default.
     """
     n = q.n
     table = q.table
     col = range(n * n) if cls is None else cls
     left_pre, right_inv = _preimage_tables(q)
-    for x in range(n):
+    for x in range(n) if xs is None else xs:
         row_x = table[x]
         pre_x = left_pre[x]
+        zs = range(n) if cls is None else [z for z in range(n) if pre_x[z]]
         for y in range(n):
             xy = row_x[y]
             inv_y = right_inv[y]
-            for z in range(n):
+            for z in zs:
                 row = {col[z * n + xy]: 1}
                 key = col[inv_y[z] * n + x]
                 row[key] = row.get(key, 0) - 1
@@ -112,6 +119,14 @@ def flatten_matrix(m: Matrix) -> tuple[Scalar, ...]:
     return m.entries
 
 
+def _root(parent: list[int], a: int) -> int:
+    """The root of a in the union-find forest ``parent``, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def _equality_classes(q: Quandle) -> tuple[list[int], int]:
     """The classes of unknowns that the equality rows merge, from the tables.
 
@@ -123,13 +138,6 @@ def _equality_classes(q: Quandle) -> tuple[list[int], int]:
     n = q.n
     size = n * n
     parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     left_pre, right_inv = _preimage_tables(q)
     for x in range(n):
         row_x = q.table[x]
@@ -137,13 +145,13 @@ def _equality_classes(q: Quandle) -> tuple[list[int], int]:
             if pre:
                 continue
             for y in range(n):
-                a, b = find(z * n + row_x[y]), find(right_inv[y][z] * n + x)
+                a, b = _root(parent, z * n + row_x[y]), _root(parent, right_inv[y][z] * n + x)
                 parent[max(a, b)] = min(a, b)
     # Each root is the least member of its class, so it is numbered first.
     cls = [0] * size
     m = 0
     for a in range(size):
-        root = find(a)
+        root = _root(parent, a)
         if root == a:
             cls[a] = m
             m += 1
@@ -152,24 +160,83 @@ def _equality_classes(q: Quandle) -> tuple[list[int], int]:
     return cls, m
 
 
+def _inner_generators(q: Quandle) -> tuple[list[int], list[int]]:
+    """The y whose R_y generate a group with the orbits of Inn(q), and the
+    least element of each orbit.
+
+    One union-find over the elements: y is kept when R_y joins two orbits
+    of the group the R_y kept before it generate.  A y that joins none adds
+    nothing to the orbits, so the final orbits are those of all the R_y,
+    the orbits of Inn(q).
+    """
+    n = q.n
+    parent = list(range(n))
+    gens = []
+    for y in range(n):
+        joined = False
+        for x in range(n):
+            a, b = _root(parent, x), _root(parent, q.table[x][y])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                joined = True
+        if joined:
+            gens.append(y)
+    return gens, [x for x in range(n) if parent[x] == x]
+
+
+def _class_permutation(q: Quandle, y: int, cls: Sequence[int], m: int) -> list[int]:
+    """The permutation of the m classes that renaming each unknown (u, t) to
+    (u⊳y, t⊳y) induces: cls[u·n + t] ↦ cls[(u⊳y)·n + t⊳y]."""
+    n = q.n
+    r = q.column_perm(y)
+    perm = [0] * m
+    for u in range(n):
+        for t in range(n):
+            perm[cls[u * n + t]] = cls[r[u] * n + r[t]]
+    return perm
+
+
 def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
     """Canonical basis of the kernel of the Leibniz system over ``f``.
 
-    Row (x, y, z) has +1 at z·n + x⊳y, -1 at ẑ·n + x and -1 at w·n + y for
-    each of the k preimages w of z under L_x, so its coefficients sum to
-    1 - 1 - k = -k; adding up equal keys and dropping zeros keeps that sum.
-    An equality row, with exactly two entries +1 and -1, sums to 0, so k = 0;
-    and a row with k = 0 is +1 and -1 at its two keys, empty if they
-    coincide.  So a row is an equality row exactly when L_x⁻¹(z) is empty
-    and its two keys differ, and the tables alone give every equality row
-    before any row is built (``_equality_classes``).  An equality row says
-    D_a = D_b over Q and over every GF(p), since ±1 is a unit in each; it
-    merges a and b in a union-find over the n² unknowns.  The kernel of the
-    full system is the set of vectors that are constant on each class and
-    satisfy the other rows; on such a vector a row reads as its rewrite onto
-    classes, with the coefficients of each class added up.  Written over the
-    classes, an equality row is empty and every other row keeps its sum
-    -k ≠ 0, so each non-empty row goes into the echelon as it is generated.
+    Equality classes.  Row (x, y, z) has +1 at z·n + x⊳y, -1 at ẑ·n + x and
+    -1 at w·n + y for each of the k preimages w of z under L_x, so its
+    coefficients sum to 1 - 1 - k = -k; adding up equal keys and dropping
+    zeros keeps that sum.  An equality row, with exactly two entries +1 and
+    -1, sums to 0, so k = 0; and a row with k = 0 is +1 and -1 at its two
+    keys, empty if they coincide.  So a row is an equality row exactly when
+    L_x⁻¹(z) is empty and its two keys differ, and the tables alone give
+    every equality row before any row is built (``_equality_classes``).  An
+    equality row says D_a = D_b over Q and over every GF(p), since ±1 is a
+    unit in each; it merges a and b in a union-find over the n² unknowns.
+    The kernel of the full system is the set of vectors that are constant on
+    each class and satisfy the other rows; on such a vector a row reads as
+    its rewrite onto classes, with the coefficients of each class added up.
+    Written over the classes, a row with L_x⁻¹(z) empty is empty and every
+    other row keeps its sum -k ≠ 0.
+
+    Orbits.  Each R_y is an automorphism σ of the quandle (axioms II and
+    III), so σ(x⊳y) = σx⊳σy, R_{σy}⁻¹(σz) = σ(R_y⁻¹(z)) and L_{σx}⁻¹(σz) =
+    σ(L_x⁻¹(z)).  Row (σx, σy, σz) is therefore row (x, y, z) with each
+    unknown (u, t) renamed (σu, σt).  Equality rows map to equality rows, so
+    the renaming maps classes to classes: σ induces the permutation
+    σ̄[cls[u·n+t]] = cls[σu·n+σt] of the m classes, and the span R of the
+    rows over the classes is invariant under σ̄.  Let G be the group the
+    kept R_y generate (``_inner_generators``); its orbits are those of
+    Inn(q).  Only the rows of the least element x₀ of each orbit are
+    generated.  Each one that grows the echelon is kept, its image under
+    every σ̄ is inserted, and an image that grows the echelon is kept in
+    turn.  The span V at the end is spanned by the kept rows, and the image
+    of each kept row under each σ̄ was inserted, so V is invariant under
+    every σ̄ and hence under G.  Every inserted row lies in R, since R is
+    G-invariant, so V ⊆ R.  Every row (x, y, z) is the image under some σ ∈
+    G of the row (x₀, σ⁻¹y, σ⁻¹z) of its orbit's x₀, so R ⊆ V.  Hence V = R.
+    Once the rank reaches m, V is everything and no more row is inserted.
+    The solve inserts at most o·n² + rank·|Y| rows, for o orbits and |Y|
+    kept R_y; each kept R_y joins two orbits, so |Y| ≤ n - o, and with rank
+    ≤ n² that is at most n³.  A quandle whose R_y are all the identity (a
+    trivial quandle) keeps none and generates every row.
+
     The kernel is the lift a ↦ v[class(a)] of the kernel of those rows over
     the m classes, and the lift is injective.  Classes are numbered by their
     least member in increasing order, so the lift keeps pivot order, pivot
@@ -178,10 +245,15 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
     """
     size = q.n * q.n
     cls, m = _equality_classes(q)
+    gens, reps = _inner_generators(q)
+    perms = [_class_permutation(q, y, cls, m) for y in gens]
     ech = _Echelon(f, m)
-    for row in _leibniz_sparse_rows(q, cls):
-        if row:
-            ech.insert(row)
+    for row in _leibniz_sparse_rows(q, cls, reps):
+        todo = [row]
+        while todo and ech.rank < m:
+            row = todo.pop()
+            if ech.insert(row):
+                todo += ({perm[k]: v for k, v in row.items()} for perm in perms)
     kernel = _nullspace_from_echelon(f, m, ech)
     if m < size:
         kernel = SubspaceBasis(f, size, tuple(tuple(map(vec.__getitem__, cls))

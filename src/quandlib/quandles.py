@@ -195,15 +195,11 @@ def from_json_dict(data: dict, label: str | None = None) -> Quandle:
 
 def trivial(n: int) -> Quandle:
     """x ⊳ y = x: the Alexander quandle with alpha = 1."""
-    if n < 1:
-        raise ValueError("order must be positive")
     return alexander(n, 1)
 
 
 def dihedral(n: int) -> Quandle:
     """x ⊳ y = 2y - x on Z_n: the Alexander quandle with alpha = -1."""
-    if n < 1:
-        raise ValueError("order must be positive")
     return alexander(n, -1)
 
 

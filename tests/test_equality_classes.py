@@ -1,6 +1,7 @@
-"""The streamed Leibniz solve: equality classes read off the multiplication
-tables, checked against the generic rule on the rows, and the memory the
-solve holds while it streams rows into the echelon."""
+"""The Leibniz solve over equality classes: the classes read off the
+multiplication tables, checked against the generic rule on the full rows,
+and the memory the solve holds while it inserts rows into the echelon.
+``CASES`` is shared with ``test_orbit_closure``."""
 
 import random
 import tracemalloc

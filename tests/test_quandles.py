@@ -132,6 +132,15 @@ def test_alexander_params_reject_non_int_fields(n, alpha):
         AlexanderParams(n, alpha)
 
 
+@pytest.mark.parametrize("make, n, match", [
+    (dihedral, "5", "must be an int"), (trivial, "5", "must be an int"), (dihedral, None, "must be an int"),
+    (trivial, 0, "must be positive"), (dihedral, 0, "must be positive"),
+], ids=["dihedral-str", "trivial-str", "dihedral-None", "trivial-0", "dihedral-0"])
+def test_affine_constructors_reject_bad_orders_with_value_error(make, n, match):
+    with pytest.raises(ValueError, match=match):
+        make(n)
+
+
 def test_alexander_needs_alpha_exactly_once():
     with pytest.raises(ValueError, match="modulus and alpha"):
         alexander(5)
