@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .fields import FieldSpec, Scalar
 from .linalg import Matrix, SubspaceBasis, _Echelon, _nullspace_from_echelon
-from .quandles import Quandle, _check_group, _preimages
+from .quandles import Quandle, _check_group, _inner_orbits, _preimages, _root
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +119,6 @@ def flatten_matrix(m: Matrix) -> tuple[Scalar, ...]:
     return m.entries
 
 
-def _root(parent: list[int], a: int) -> int:
-    """The root of a in the union-find forest ``parent``, halving the path."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
-
-
 def _equality_classes(q: Quandle) -> tuple[list[int], int]:
     """The classes of unknowns that the equality rows merge, from the tables.
 
@@ -158,30 +150,6 @@ def _equality_classes(q: Quandle) -> tuple[list[int], int]:
         else:
             cls[a] = cls[root]
     return cls, m
-
-
-def _inner_generators(q: Quandle) -> tuple[list[int], list[int]]:
-    """The y whose R_y generate a group with the orbits of Inn(q), and the
-    least element of each orbit.
-
-    One union-find over the elements: y is kept when R_y joins two orbits
-    of the group the R_y kept before it generate.  A y that joins none adds
-    nothing to the orbits, so the final orbits are those of all the R_y,
-    the orbits of Inn(q).
-    """
-    n = q.n
-    parent = list(range(n))
-    gens = []
-    for y in range(n):
-        joined = False
-        for x in range(n):
-            a, b = _root(parent, x), _root(parent, q.table[x][y])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-                joined = True
-        if joined:
-            gens.append(y)
-    return gens, [x for x in range(n) if parent[x] == x]
 
 
 def _class_permutation(q: Quandle, y: int, cls: Sequence[int], m: int) -> list[int]:
@@ -222,7 +190,7 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
     the renaming maps classes to classes: σ induces the permutation
     σ̄[cls[u·n+t]] = cls[σu·n+σt] of the m classes, and the span R of the
     rows over the classes is invariant under σ̄.  Let G be the group the
-    kept R_y generate (``_inner_generators``); its orbits are those of
+    kept R_y generate (``quandles._inner_orbits``); its orbits are those of
     Inn(q).  Only the rows of the least element x₀ of each orbit are
     generated.  Each one that grows the echelon is kept, its image under
     every σ̄ is inserted, and an image that grows the echelon is kept in
@@ -245,7 +213,8 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
     """
     size = q.n * q.n
     cls, m = _equality_classes(q)
-    gens, reps = _inner_generators(q)
+    gens, root = _inner_orbits(q)
+    reps = [x for x, r in enumerate(root) if r == x]
     perms = [_class_permutation(q, y, cls, m) for y in gens]
     ech = _Echelon(f, m)
     for row in _leibniz_sparse_rows(q, cls, reps):

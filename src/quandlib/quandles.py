@@ -109,6 +109,40 @@ def _preimages(w: Sequence[int]) -> list[list[int]]:
     return pre
 
 
+def _root(parent: list[int], a: int) -> int:
+    """The root of a in the union-find forest ``parent``, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _inner_orbits(q: Quandle) -> tuple[list[int], list[int]]:
+    """The orbits of the inner automorphism group Inn(q): the y whose R_y
+    generate a group with those orbits, and the least element of each x's
+    orbit.
+
+    One union-find over the elements: y is kept when R_y joins two orbits
+    of the group the R_y kept before it generate.  A y that joins none adds
+    nothing to the orbits, so the final orbits are those of all the R_y,
+    the orbits of Inn(q).  A join hangs the larger root under the smaller,
+    so each root is the least element of its orbit.
+    """
+    n = q.n
+    parent = list(range(n))
+    gens = []
+    for y in range(n):
+        joined = False
+        for x in range(n):
+            a, b = _root(parent, x), _root(parent, q.table[x][y])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                joined = True
+        if joined:
+            gens.append(y)
+    return gens, [_root(parent, x) for x in range(n)]
+
+
 @dataclass(frozen=True)
 class QuandleProps:
     involutive: bool
@@ -150,7 +184,10 @@ def check_axioms(table: TableLike) -> AxiomViolation | None:
 
 def validate(table: TableLike, label: str | None = None,
              alexander: AlexanderParams | None = None) -> Quandle:
-    """Build a Quandle from a raw table, raising AxiomViolation on failure."""
+    """Build a Quandle from a raw table, raising AxiomViolation on failure
+    and ValueError on an empty table."""
+    if not table:
+        raise ValueError("order must be positive")
     violation = check_axioms(table)
     if violation is not None:
         raise violation
@@ -300,32 +337,17 @@ def props(q: Quandle) -> QuandleProps:
         comp[t[w][x]][y] == comp[t[w][y]][x]
         for w in range(n) for x in range(n) for y in range(x + 1, n)
     )
-    # Orbits of the inner automorphism group: close each point under all
-    # column permutations (generators have finite order, so no inverses needed).
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in range(n):
-                image = t[x][y]
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        for x in orbit:
-            seen[x] = True
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
+    # Each root is the least element of its orbit, so the orbits come out
+    # increasing and ordered by their least element.
+    orbits: dict[int, list[int]] = {}
+    for x, r in enumerate(_inner_orbits(q)[1]):
+        orbits.setdefault(r, []).append(x)
     return QuandleProps(
         involutive=involutive,
         latin=latin,
         medial=medial,
         connected=len(orbits) == 1,
-        orbits=tuple(orbits),
+        orbits=tuple(map(tuple, orbits.values())),
     )
 
 

@@ -33,6 +33,7 @@ def parse_linear_expression(text: str) -> dict[str, int]:
     """Parse e.g. ``"2a1+a2-a4"`` into ``{"a1": 2, "a2": 1, "a4": -1}``.
 
     A bare integer term is keyed under ``""`` (only "0" occurs in practice).
+    Every term after the first needs its own sign, so ``"a1a2"`` is refused.
     """
     out: dict[str, int] = {}
     pos = 0
@@ -44,6 +45,8 @@ def parse_linear_expression(text: str) -> dict[str, int]:
         if m is None or m.end() == pos:
             raise ValueError(f"cannot parse expression {text!r} at {pos}")
         sign, coeff, param = m.groups()
+        if pos and not sign:
+            raise ValueError(f"missing sign before term at {pos} in {text!r}")
         value = int(coeff) if coeff else 1
         if sign == "-":
             value = -value

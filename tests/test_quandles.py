@@ -39,6 +39,13 @@ def test_validate_dihedral3_table():
     assert q.n == 3
 
 
+def test_validate_and_relabel_refuse_the_empty_table():
+    with pytest.raises(ValueError, match="order must be positive"):
+        validate([])
+    with pytest.raises(ValueError, match="order must be positive"):
+        relabel(quandles.Quandle(0, ()), [])
+
+
 def test_validate_axiom_one_violation():
     with pytest.raises(AxiomViolation) as exc:
         validate([[1, 0], [0, 1]])

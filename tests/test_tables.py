@@ -31,6 +31,10 @@ def test_expression_parser():
         parse_linear_expression("3")  # non-homogeneous constant
     with pytest.raises(ValueError):
         parse_linear_expression("a1*a2")
+    with pytest.raises(ValueError):
+        parse_linear_expression("a1a2")
+    with pytest.raises(ValueError):
+        parse_linear_expression("2a1a2")
 
 
 def test_entries_load_and_are_labeled():
