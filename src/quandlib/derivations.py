@@ -4,13 +4,12 @@ A derivation is a linear map D with D(a·b) = D(a)·b + a·D(b).  On the basis
 this is one linear condition per triple (x, y, z), giving an n³ × n² system
 whose kernel, reshaped, is the space of derivation matrices.  The unknowns
 are the matrix entries D[u][t] (the coefficient of e_u in D(e_t)), flattened
-row-major: unknown index = u*n + t.  The solver first reads off the
-multiplication tables which rows only equate two unknowns, those at an e_z
-outside the image of L_x, and merges those unknowns into classes.  It then
-generates the rows of one element per orbit of the inner automorphism
-group, written over the classes, and closes their span under the class
-permutations that a few inner automorphisms R_y induce: renaming the
-unknowns by an automorphism maps the Leibniz rows onto Leibniz rows (see
+row-major: unknown index = u*n + t.  One generator, ``_leibniz_sparse_rows``,
+writes every row.  The solver takes the rows of one element per orbit of
+the inner automorphism group, merges the unknowns that their equality rows
+equate into classes, and closes the classes and then the span of the other
+rows under the renamings of the unknowns by a few inner automorphisms R_y:
+an automorphism maps Leibniz rows onto Leibniz rows (see
 ``derivation_space``).  The solver is the ground truth here; the dihedral
 symmetry relations and the closed-form dimension counts are checked against
 it, never used to shortcut it.
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .fields import FieldSpec, Scalar
@@ -31,23 +31,17 @@ from .quandles import Quandle, _check_group, _inner_orbits, _preimages, _root
 # the Leibniz system
 
 
-def _preimage_tables(q: Quandle) -> tuple[list[list[list[int]]], list[list[int]]]:
-    """L_x⁻¹ and R_y⁻¹ of every x and y: ``left_pre[x][z]`` lists the w with
-    x ⊳ w = z, and ``right_inv[y][z]`` is the one ẑ with ẑ ⊳ y = z."""
-    left_pre = [_preimages(row) for row in q.table]
-    # Axiom II: each R_y is a bijection, so R_y⁻¹(z) is a single element.
-    right_inv = [[x for (x,) in _preimages(col)] for col in zip(*q.table)]
-    return left_pre, right_inv
-
-
 def _leibniz_sparse_rows(q: Quandle, cls: Sequence[int] | None = None,
                          xs: Sequence[int] | None = None) -> Iterator[dict[int, int]]:
     """Integer coefficient rows of the Leibniz system, one per (x, y, z).
 
     Row (x, y, z) encodes the coefficient of e_z in
-    D(e_{x⊳y}) - D(e_x)·e_y - e_x·D(e_y): D[z][x⊳y] minus D[ẑ][x] and each
-    D[w][y], for ẑ and w the preimages of z under R_y and under L_x.  With a
-    class map ``cls`` the unknown a is written as column cls[a], the
+    D(e_{x⊳y}) - D(e_x)·e_y - e_x·D(e_y): +1 at D[z][x⊳y], -1 at D[ẑ][x] and
+    -1 at each D[w][y], for ẑ the one preimage of z under R_y and w the
+    preimages of z under L_x; equal keys are added up and zeros dropped.
+    This is the only code that places a row's entries: the solve, the
+    equality classes and the structure check all read their rows here.
+    With a class map ``cls`` the unknown a is written as column cls[a], the
     coefficients of one class added up, and the rows with L_x⁻¹(z) empty are
     skipped: over the classes they are empty (see ``derivation_space``).
     ``xs`` limits x to the given elements, all of them by default.
@@ -55,22 +49,27 @@ def _leibniz_sparse_rows(q: Quandle, cls: Sequence[int] | None = None,
     n = q.n
     table = q.table
     col = range(n * n) if cls is None else cls
-    left_pre, right_inv = _preimage_tables(q)
+    # Axiom II: each R_y is a bijection, so R_y⁻¹(z) is a single element.
+    right_inv = [[x for (x,) in _preimages(column)] for column in zip(*table)]
     for x in range(n) if xs is None else xs:
         row_x = table[x]
-        pre_x = left_pre[x]
+        pre_x = _preimages(row_x)
         zs = range(n) if cls is None else [z for z in range(n) if pre_x[z]]
         for y in range(n):
             xy = row_x[y]
             inv_y = right_inv[y]
             for z in zs:
-                row = {col[z * n + xy]: 1}
+                lead = col[z * n + xy]
+                row = {lead: 1}
                 key = col[inv_y[z] * n + x]
                 row[key] = row.get(key, 0) - 1
                 for w in pre_x[z]:
                     key = col[w * n + y]
                     row[key] = row.get(key, 0) - 1
-                yield {k: v for k, v in row.items() if v}
+                # Only the +1 can cancel.
+                if not row[lead]:
+                    del row[lead]
+                yield row
 
 
 def leibniz_system(q: Quandle, f: FieldSpec) -> Matrix:
@@ -119,91 +118,86 @@ def flatten_matrix(m: Matrix) -> tuple[Scalar, ...]:
     return m.entries
 
 
-def _equality_classes(q: Quandle) -> tuple[list[int], int]:
-    """The classes of unknowns that the equality rows merge, from the tables.
+def _equality_classes(q: Quandle, reps: Sequence[int],
+                      renamings: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The classes of unknowns that the equality rows merge.
 
-    Returns the class of each of the n² unknowns and the number m of
-    classes, numbered by their least member in increasing order.  Row
-    (x, y, z) is an equality row exactly when z is outside the image of L_x
-    and its two keys z·n + x⊳y and ẑ·n + x differ (see ``derivation_space``).
+    The equality rows of the elements ``reps`` are the rows of
+    ``_leibniz_sparse_rows`` with two entries that sum to 0, +1 and -1.
+    Each merge of unknowns a and b also merges σa and σb for every
+    renaming σ in ``renamings``; with one element per orbit of the group the
+    renamings generate, that is the partition of every equality row (see
+    ``derivation_space``).  Returns the class of each of the n² unknowns and
+    the number m of classes, numbered by their least member in increasing
+    order.
     """
-    n = q.n
-    size = n * n
+    size = q.n * q.n
     parent = list(range(size))
-    left_pre, right_inv = _preimage_tables(q)
-    for x in range(n):
-        row_x = q.table[x]
-        for z, pre in enumerate(left_pre[x]):
-            if pre:
-                continue
-            for y in range(n):
-                a, b = _root(parent, z * n + row_x[y]), _root(parent, right_inv[y][z] * n + x)
-                parent[max(a, b)] = min(a, b)
+    # Only an x whose L_x is not onto has equality rows.
+    xs = [x for x in reps if len(set(q.table[x])) < q.n]
+    for row in _leibniz_sparse_rows(q, xs=xs):
+        if len(row) != 2 or sum(row.values()):
+            continue
+        todo = [tuple(row)]
+        while todo:
+            a, b = todo.pop()
+            ra, rb = _root(parent, a), _root(parent, b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+                todo += ((s[a], s[b]) for s in renamings)
     # Each root is the least member of its class, so it is numbered first.
-    cls = [0] * size
-    m = 0
-    for a in range(size):
-        root = _root(parent, a)
-        if root == a:
-            cls[a] = m
-            m += 1
-        else:
-            cls[a] = cls[root]
-    return cls, m
-
-
-def _class_permutation(q: Quandle, y: int, cls: Sequence[int], m: int) -> list[int]:
-    """The permutation of the m classes that renaming each unknown (u, t) to
-    (u⊳y, t⊳y) induces: cls[u·n + t] ↦ cls[(u⊳y)·n + t⊳y]."""
-    n = q.n
-    r = q.column_perm(y)
-    perm = [0] * m
-    for u in range(n):
-        for t in range(n):
-            perm[cls[u * n + t]] = cls[r[u] * n + r[t]]
-    return perm
+    number: dict[int, int] = {}
+    cls = [number.setdefault(_root(parent, a), len(number)) for a in range(size)]
+    return cls, len(number)
 
 
 def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
     """Canonical basis of the kernel of the Leibniz system over ``f``.
 
-    Equality classes.  Row (x, y, z) has +1 at z·n + x⊳y, -1 at ẑ·n + x and
-    -1 at w·n + y for each of the k preimages w of z under L_x, so its
+    Equality rows.  Row (x, y, z) has +1 at z·n + x⊳y, -1 at ẑ·n + x and -1
+    at w·n + y for each of the k preimages w of z under L_x, so its
     coefficients sum to 1 - 1 - k = -k; adding up equal keys and dropping
     zeros keeps that sum.  An equality row, with exactly two entries +1 and
     -1, sums to 0, so k = 0; and a row with k = 0 is +1 and -1 at its two
     keys, empty if they coincide.  So a row is an equality row exactly when
-    L_x⁻¹(z) is empty and its two keys differ, and the tables alone give
-    every equality row before any row is built (``_equality_classes``).  An
-    equality row says D_a = D_b over Q and over every GF(p), since ±1 is a
-    unit in each; it merges a and b in a union-find over the n² unknowns.
-    The kernel of the full system is the set of vectors that are constant on
-    each class and satisfy the other rows; on such a vector a row reads as
-    its rewrite onto classes, with the coefficients of each class added up.
-    Written over the classes, a row with L_x⁻¹(z) empty is empty and every
-    other row keeps its sum -k ≠ 0.
+    L_x⁻¹(z) is empty and its two keys differ.  It says D_a = D_b over Q and
+    over every GF(p), since ±1 is a unit in each, and merges a and b in a
+    union-find over the n² unknowns.  The kernel of the full system is the
+    set of vectors that are constant on each class and satisfy the other
+    rows; on such a vector a row reads as its rewrite onto classes, with the
+    coefficients of each class added up.  Written over the classes, a row
+    with L_x⁻¹(z) empty is empty and every other row keeps its sum -k ≠ 0.
 
-    Orbits.  Each R_y is an automorphism σ of the quandle (axioms II and
+    Renamings.  Each R_y is an automorphism σ of the quandle (axioms II and
     III), so σ(x⊳y) = σx⊳σy, R_{σy}⁻¹(σz) = σ(R_y⁻¹(z)) and L_{σx}⁻¹(σz) =
-    σ(L_x⁻¹(z)).  Row (σx, σy, σz) is therefore row (x, y, z) with each
-    unknown (u, t) renamed (σu, σt).  Equality rows map to equality rows, so
-    the renaming maps classes to classes: σ induces the permutation
-    σ̄[cls[u·n+t]] = cls[σu·n+σt] of the m classes, and the span R of the
-    rows over the classes is invariant under σ̄.  Let G be the group the
-    kept R_y generate (``quandles._inner_orbits``); its orbits are those of
-    Inn(q).  Only the rows of the least element x₀ of each orbit are
-    generated.  Each one that grows the echelon is kept, its image under
-    every σ̄ is inserted, and an image that grows the echelon is kept in
-    turn.  The span V at the end is spanned by the kept rows, and the image
-    of each kept row under each σ̄ was inserted, so V is invariant under
-    every σ̄ and hence under G.  Every inserted row lies in R, since R is
-    G-invariant, so V ⊆ R.  Every row (x, y, z) is the image under some σ ∈
-    G of the row (x₀, σ⁻¹y, σ⁻¹z) of its orbit's x₀, so R ⊆ V.  Hence V = R.
-    Once the rank reaches m, V is everything and no more row is inserted.
-    The solve inserts at most o·n² + rank·|Y| rows, for o orbits and |Y|
-    kept R_y; each kept R_y joins two orbits, so |Y| ≤ n - o, and with rank
-    ≤ n² that is at most n³.  A quandle whose R_y are all the identity (a
-    trivial quandle) keeps none and generates every row.
+    σ(L_x⁻¹(z)): row (σx, σy, σz) is row (x, y, z) with each unknown u·n + t
+    renamed σu·n + σt.  Let G be the group the kept R_y generate
+    (``quandles._inner_orbits``), whose orbits are those of Inn(q); only the
+    rows of the least element x₀ of each orbit are generated.
+
+    Classes (``_equality_classes``).  Let P be the partition that all
+    equality rows generate, and P' the one built from the equality rows of
+    the x₀ by merging σa and σb with each merge of a and b, for every kept
+    σ: the finest partition holding the pairs of the x₀ and closed under
+    each kept σ, hence under the finite group G.  P is G-closed too, since
+    σ maps equality rows onto equality rows, so P' refines P.  The equality
+    row (x, y, z), for x = σx₀ with σ ∈ G, is σ of the equality row
+    (x₀, σ⁻¹y, σ⁻¹z), so its pair lies in P' and P refines P'.  So P' = P,
+    σ maps classes onto classes, σ̄[cls[a]] = cls[σa] permutes the m
+    classes, and the span R of the rows over the classes is σ̄-invariant.
+
+    The span.  Each row of an x₀ that grows the echelon is kept, its image
+    under every σ̄ is inserted, and an image that grows the echelon is kept
+    in turn.  The span V at the end is spanned by the kept rows, and the
+    image of each kept row under each σ̄ was inserted, so V is invariant
+    under every σ̄ and hence under G.  Every inserted row lies in R, since R
+    is G-invariant, so V ⊆ R.  Every row (x, y, z) is the image under some
+    σ ∈ G of the row (x₀, σ⁻¹y, σ⁻¹z) of its orbit's x₀, so R ⊆ V.  Hence
+    V = R.  Once the rank reaches m, V is everything and no more row is
+    inserted.  The solve inserts at most o·n² + rank·|Y| rows, for o orbits
+    and |Y| kept R_y; each kept R_y joins two orbits, so |Y| ≤ n - o, and
+    with rank ≤ n² that is at most n³.  A quandle whose R_y are all the
+    identity (a trivial quandle) keeps none and generates every row.
 
     The kernel is the lift a ↦ v[class(a)] of the kernel of those rows over
     the m classes, and the lift is injective.  Classes are numbered by their
@@ -211,11 +205,13 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
     entries and the zeros beside each pivot: the lifted RREF basis is the
     canonical RREF of the full kernel.
     """
-    size = q.n * q.n
-    cls, m = _equality_classes(q)
+    n = q.n
     gens, root = _inner_orbits(q)
     reps = [x for x, r in enumerate(root) if r == x]
-    perms = [_class_permutation(q, y, cls, m) for y in gens]
+    renamings = [[r[u] * n + r[t] for u in range(n) for t in range(n)]
+                 for r in map(q.column_perm, gens)]
+    cls, m = _equality_classes(q, reps, renamings)
+    perms = [{cls[a]: cls[b] for a, b in enumerate(s)} for s in renamings]
     ech = _Echelon(f, m)
     for row in _leibniz_sparse_rows(q, cls, reps):
         todo = [row]
@@ -224,10 +220,10 @@ def derivation_space(q: Quandle, f: FieldSpec) -> DerivationBasis:
             if ech.insert(row):
                 todo += ({perm[k]: v for k, v in row.items()} for perm in perms)
     kernel = _nullspace_from_echelon(f, m, ech)
-    if m < size:
-        kernel = SubspaceBasis(f, size, tuple(tuple(map(vec.__getitem__, cls))
-                                              for vec in kernel.vectors))
-    mats = tuple(matrix_from_flat(f, q.n, vec) for vec in kernel.vectors)
+    if m < n * n:
+        kernel = SubspaceBasis(f, n * n, tuple(tuple(map(vec.__getitem__, cls))
+                                               for vec in kernel.vectors))
+    mats = tuple(matrix_from_flat(f, n, vec) for vec in kernel.vectors)
     return DerivationBasis(quandle=q, field=f, subspace=kernel, basis=mats)
 
 
@@ -245,24 +241,24 @@ def verify_structure_relations(D: Matrix, q: Quandle) -> StructureCheck:
     """Check c_{x⊳y}^z = c_x^ẑ + sum over w in x⁻¹(z) of c_y^w for all x, y, z.
 
     The two sums run over the preimages of R_y and of L_x: ẑ is the unique
-    element with ẑ ⊳ y = z and x⁻¹(z) = {w : x ⊳ w = z}.  Agrees exactly
-    with membership in the derivation space.
+    element with ẑ ⊳ y = z and x⁻¹(z) = {w : x ⊳ w = z}.  Relation (x, y, z)
+    is row (x, y, z) of ``_leibniz_sparse_rows`` evaluated on the entries of
+    D, read row-major like the unknowns; the witness is the first (x, y, z)
+    in lexicographic order where it is not zero.  Agrees exactly with
+    membership in the derivation space.
     """
     n = q.n
     if D.nrows != n or D.ncols != n:
         raise ValueError("matrix order does not match quandle order")
-    f = D.field
-    left_pre, right_inv = _preimage_tables(q)
-    for x in range(n):
-        for y in range(n):
-            xy = q.table[x][y]
-            for z in range(n):
-                lhs = D.entry(z, xy)
-                rhs = D.entry(right_inv[y][z], x)
-                for w in left_pre[x][z]:
-                    rhs = f.add(rhs, D.entry(w, y))
-                if lhs != rhs:
-                    return StructureCheck(False, (x, y, z))
+    # D scaled by the lcm of its denominators (1 over GF(p)): integer
+    # entries with the same vanishing relations.
+    den = lcm(*(v.denominator for v in D.entries))
+    ents = [int(v * den) for v in D.entries]
+    p = D.field.p
+    for idx, row in zip(product(range(n), repeat=3), _leibniz_sparse_rows(q)):
+        total = sum(v * ents[k] for k, v in row.items())
+        if total % p if p else total:
+            return StructureCheck(False, idx)
     return StructureCheck(True, None)
 
 
@@ -307,7 +303,8 @@ class _Relation:
     index tuple of length ``arity``, each index running over 0..n-1.  Sign 0
     means the left side vanishes (``rhs`` is None).  ``text(k)`` describes the
     relation where it applies; ``not_applicable`` holds the text for every
-    class of n where it does not.
+    class of n where it does not.  ``scan(D)``, where given, finds the same
+    first counterexample as the walk over every index tuple, faster.
     """
 
     name: str
@@ -316,6 +313,25 @@ class _Relation:
     sign: int
     text: Callable[[int], str]
     not_applicable: dict[str, str]
+    scan: Callable[[Matrix], tuple[int, ...] | None] | None = None
+
+
+def _reflection_counterexample(D: Matrix) -> tuple[int, int, int] | None:
+    """The first (t, d, x) where c_{t+2d}^x = c_t^{2t+2d-x} fails on D.
+
+    With s = t + 2d and r = 2t + 2d the relation equates column s with
+    column t reversed and rotated, x ↦ c_t^{(r-x) mod n}.  The pairs (t, d)
+    are compared whole in lexicographic order, and x is scanned only inside
+    the first pair that differs, so the witness is that of the n³ walk.
+    """
+    n, ents = D.nrows, D.entries
+    cols = [ents[s::n] for s in range(n)]
+    for t, d in product(range(n), repeat=2):
+        s, r = (t + 2 * d) % n, (2 * t + 2 * d) % n
+        mirrored = cols[t][r::-1] + cols[t][:r:-1]
+        if cols[s] != mirrored:
+            return t, d, next(x for x in range(n) if cols[s][x] != mirrored[x])
+    return None
 
 
 _EVEN_ONLY = "even order only"
@@ -323,7 +339,7 @@ _MOD4_ONLY = "order 0 mod 4 only"
 _RELATIONS = (
     _Relation("reflection", 3, lambda k, t, d, x: ((t + 2 * d, x), (t, 2 * t + 2 * d - x)), 1,
               lambda k: "c_{t+2d}^x = c_t^{2t+2d-x}",
-              {_ODD: "c_{t+2d}^x = c_t^{2t+2d-x} (even order only)"}),
+              {_ODD: "c_{t+2d}^x = c_t^{2t+2d-x} (even order only)"}, _reflection_counterexample),
     _Relation("half_shift_sign", 2, lambda k, t, x: ((t, x), (t, x + 2 * k)), -1,
               lambda k: f"c_t^x = -c_t^(x+{2 * k})",
               {_ODD: _EVEN_ONLY, _TWICE_ODD: "c_t^x = -c_t^(x+2k) (order 0 mod 4 only)"}),
@@ -352,6 +368,8 @@ _RELATION = {rel.name: rel for rel in _RELATIONS}
 
 def _counterexample(rel: _Relation, D: Matrix, k: int) -> tuple[int, ...] | None:
     """The first index tuple, in lexicographic order, where ``rel`` fails on D."""
+    if rel.scan:
+        return rel.scan(D)
     n, f, ents = D.nrows, D.field, D.entries
     zero = f.zero()
     for idx in product(range(n), repeat=rel.arity):

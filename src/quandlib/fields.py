@@ -147,19 +147,20 @@ class FieldSpec:
 
     @staticmethod
     def from_name(name: str) -> "FieldSpec":
-        """Parse ``"Q"`` or ``"GF(p)"`` (a bare integer is read as a modulus)."""
+        """Parse ``"Q"`` or ``"GF(p)"`` (a bare integer is read as a modulus).
+
+        p is written in ASCII digits, with an optional sign inside ``GF(…)``.
+        """
         text = name.strip()
         if text in ("Q", "QQ", "rationals"):
             return RATIONALS
+        digits = text
         if text.upper().startswith("GF(") and text.endswith(")"):
-            text = text[3:-1]
-        elif not text.isdigit():
+            text = text[3:-1].strip()
+            digits = text[1:] if text.startswith(("+", "-")) else text
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"unknown field name: {name!r}")
-        try:
-            p = int(text)
-        except ValueError:
-            raise ValueError(f"unknown field name: {name!r}") from None
-        return FieldSpec(p)
+        return FieldSpec(int(text))
 
 
 RATIONALS = FieldSpec()

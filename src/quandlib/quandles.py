@@ -395,11 +395,14 @@ def catalog_lookup(label: str) -> Quandle:
 
 
 def _spec_int(text: str, spec: str) -> int:
-    """``int(text)``, reporting a non-integer as a malformed ``spec``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"malformed quandle spec {spec!r}") from None
+    """The integer ``text`` writes in ASCII digits with an optional sign,
+    padding allowed; anything else is reported as a malformed ``spec``."""
+    digits = text.strip()
+    if digits.startswith(("+", "-")):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed quandle spec {spec!r}")
+    return int(text)
 
 
 def parse_quandle_spec(spec: str) -> Quandle:

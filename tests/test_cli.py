@@ -157,6 +157,13 @@ def test_invalid_field_reports_value_error(capsys):
     assert data["error"]["kind"] == "value_error"
 
 
+@pytest.mark.parametrize("name", ["GF(1_1)", "٣"])
+def test_non_ascii_digit_field_reports_unknown_field(capsys, name):
+    code, data = run_json(capsys, "derivations", "--quandle", "trivial:2", "--field", name)
+    assert code == 1
+    assert data["error"] == {"kind": "value_error", "message": f"unknown field name: {name!r}"}
+
+
 def test_invalid_spec_reports_value_error(capsys):
     code, data = run_json(capsys, "props", "--quandle", "sphere:3")
     assert code == 1
@@ -183,6 +190,10 @@ def test_order_above_limit_reports_value_error(capsys):
     ("alexander:5,x", "malformed quandle spec 'alexander:5,x'"),
     ("conjugation:z", "malformed quandle spec 'conjugation:z'"),
     ("conjugation:zx", "malformed quandle spec 'conjugation:zx'"),
+    ("dihedral:3_0", "malformed quandle spec 'dihedral:3_0'"),
+    ("conjugation:z1_2", "malformed quandle spec 'conjugation:z1_2'"),
+    ("alexander:5,2_0", "malformed quandle spec 'alexander:5,2_0'"),
+    ("dihedral:\u0663", "malformed quandle spec 'dihedral:\u0663'"),
 ])
 def test_bad_spec_error_message(capsys, spec, message):
     code, data = run_json(capsys, "props", "--quandle", spec)

@@ -10,6 +10,7 @@ from quandlib.fields import GF, RATIONALS, FieldSpec
 from quandlib.linalg import Matrix, contains, span_from_vectors
 from quandlib.algebra import AlgebraElement, basis_element, multiply
 from quandlib.derivations import (
+    _RELATION,
     block_decomposition,
     central_translation,
     derivation_space,
@@ -404,6 +405,36 @@ def test_symmetry_report_on_seeded_matrices_is_pinned(field_name):
                     seen.add(c.counterexample)
     assert len(seen) == witnesses
     assert _digest("\n".join(lines)) == digest
+
+
+def _reflection_walk(m):
+    """The first (t, d, x) where the reflection relation of the table fails,
+    walking every index tuple; c_t^x is the entry at row x, column t."""
+    n = m.nrows
+    sides = _RELATION["reflection"].sides
+    for idx in product(range(n), repeat=3):
+        (t, x), (t2, x2) = sides(0, *idx)
+        if m.entry(x % n, t % n) != m.entry(x2 % n, t2 % n):
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(3)"])
+@pytest.mark.parametrize("n", [16, 24])
+def test_reflection_witness_is_that_of_the_walk(n, field_name):
+    # Perturbed derivations fail late in d and x, which the column scan
+    # must still report first.
+    f = FieldSpec.from_name(field_name)
+    rng = random.Random(f"reflection-{n}-{field_name}")
+    basis = derivation_space(dihedral(n), f).basis[:4]
+    probes = [_random_matrix(f, n, n, rng)] + list(basis) + [_perturbed(m, rng) for m in basis * 2]
+    witnesses = []
+    for m in probes:
+        witness = dihedral_symmetry_report(m, n).checks["reflection"].counterexample
+        assert witness == _reflection_walk(m)
+        witnesses.append(witness)
+    assert witnesses.count(None) == len(basis)
+    assert max(d for _, d, _ in filter(None, witnesses)) >= n // 4
 
 
 # ---------------------------------------------------------------------------

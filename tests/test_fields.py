@@ -53,6 +53,18 @@ def test_field_name_parsing():
         assert str(exc.value) == f"unknown field name: {name!r}"
 
 
+def test_field_name_modulus_is_ascii_digits():
+    assert FieldSpec.from_name("GF(+3)") == GF(3)
+    assert FieldSpec.from_name("GF( 5 )") == GF(5)
+    with pytest.raises(ValueError, match="modulus out of range: -3"):
+        FieldSpec.from_name("GF(-3)")
+    # int() would read digit separators and non-ASCII digits.
+    for name in ("GF(1_1)", "1_1", "\u0663", "GF(\u0663)", "GF(\u00b3)", "+7", "GF(+)"):
+        with pytest.raises(ValueError) as exc:
+            FieldSpec.from_name(name)
+        assert str(exc.value) == f"unknown field name: {name!r}"
+
+
 def test_rational_scalars_stay_reduced():
     f = RATIONALS
     v = f.coerce("6/4")

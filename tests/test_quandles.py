@@ -338,13 +338,22 @@ def test_spec_at_order_limit_is_accepted():
     assert parse_quandle_spec(f"trivial:{MAX_ORDER}") == trivial(MAX_ORDER)
 
 
-def test_spec_integers_read_as_int_does():
-    # Signs, padding and digit separators stay accepted; only text that
-    # int() refuses becomes a malformed spec.
+def test_spec_integers_take_a_sign_and_padding():
+    # ASCII digits with an optional sign and padding are accepted.
     assert parse_quandle_spec("dihedral:+5") == dihedral(5)
-    assert parse_quandle_spec("trivial:1_0") == trivial(10)
     assert parse_quandle_spec("alexander: 7 , -4") == alexander(7, 3)
     assert parse_quandle_spec("conjugation:z+4") == parse_quandle_spec("conjugation:z4")
+
+
+@pytest.mark.parametrize("spec", [
+    "trivial:1_0", "dihedral:3_0", "conjugation:z1_2", "alexander:5,2_0", "alexander:5_0,2",
+    "dihedral:\u0663", "alexander:7,\u0663", "dihedral:\u00b3", "dihedral:+", "dihedral:+-3",
+])
+def test_spec_integers_refuse_other_digits(spec):
+    # int() would read digit separators and non-ASCII digits.
+    with pytest.raises(ValueError) as exc:
+        parse_quandle_spec(spec)
+    assert str(exc.value) == f"malformed quandle spec {spec!r}"
 
 
 def test_json_order_limit_is_checked_before_validation():
